@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/config"
 	"repro/internal/liberty"
@@ -40,8 +41,9 @@ var libMemo runner.Memo[string, *liberty.Library]
 // 6-cell liberty library. When the process default configuration
 // (internal/config, set by the -libcache flag) names a directory,
 // characterized libraries are persisted there as <name>.lib text files
-// and reloaded on later runs, skipping the ~10 s transient-simulation
-// pass (stale files regenerate on format-version or read errors).
+// and reloaded on later runs, skipping the transient-simulation pass
+// (serially about 8 s for organic and 2 s for silicon45 on a 2-core
+// x86-64 host; stale files regenerate on format-version or read errors).
 // Characterized libraries are a process-wide shared resource: sessions
 // share them deliberately, since characterization is deterministic.
 func Library(t *Technology) *liberty.Library {
@@ -112,7 +114,9 @@ func Characterize(t *Technology, cfg CharConfig) (*liberty.Library, error) {
 
 // CharacterizeCtx is Characterize with cancellation and span parenting:
 // each cell's characterization runs in its own "characterize" span
-// under the span carried by ctx.
+// under the span carried by ctx. The span carries the cell's solver
+// counters: newton_iters, gmin_stepping and source_stepping, summed over
+// all of its circuits.
 func CharacterizeCtx(ctx context.Context, t *Technology, cfg CharConfig) (*liberty.Library, error) {
 	lib := &liberty.Library{
 		Name:  t.Name,
@@ -143,7 +147,11 @@ func CharacterizeCtx(ctx context.Context, t *Technology, cfg CharConfig) (*liber
 			obs.KV("tech", t.Name), obs.KV("cell", t.Protos[i].Name),
 			obs.Stage(metrics.StageCharacterize))
 		defer sp.End()
-		cell, err := characterizeCell(t, t.Protos[i], slews, loads, cfg.Steps)
+		var st spice.Stats
+		cell, err := characterizeCell(t, t.Protos[i], slews, loads, cfg.Steps, &st)
+		sp.Set("newton_iters", strconv.Itoa(st.NewtonIters))
+		sp.Set("gmin_stepping", strconv.Itoa(st.GminStepping))
+		sp.Set("source_stepping", strconv.Itoa(st.SourceStepping))
 		if err != nil {
 			return nil, fmt.Errorf("cells: %s/%s: %w", t.Name, t.Protos[i].Name, err)
 		}
@@ -193,7 +201,8 @@ type charPoint struct {
 // measureArcPoint runs one transient: input pin transitions with the
 // given ramp time while the others hold non-controlling values, and the
 // output (loaded with cl) is measured for 50-50 delay and 20-80 slew.
-func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl float64, steps int) (charPoint, error) {
+// The solver counters of every circuit it runs are added to st.
+func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool, outRising bool, tramp, cl float64, steps int, st *spice.Stats) (charPoint, error) {
 	// Determine the input direction that produces the requested output
 	// transition.
 	asg := make(map[string]bool, len(p.Inputs))
@@ -242,6 +251,7 @@ func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool
 		}
 		dt := window / float64(steps)
 		tr, err := c.Transient(window, dt, out)
+		st.Add(c.Stats())
 		if err != nil {
 			return charPoint{}, err
 		}
@@ -260,7 +270,7 @@ func measureArcPoint(t *Technology, p *Proto, pin string, others map[string]bool
 	return charPoint{}, fmt.Errorf("output never settled (pin %s, rising=%v, tramp=%g, cl=%g)", pin, outRising, tramp, cl)
 }
 
-func characterizeCell(t *Technology, p *Proto, slews, loads []float64, steps int) (*liberty.Cell, error) {
+func characterizeCell(t *Technology, p *Proto, slews, loads []float64, steps int, st *spice.Stats) (*liberty.Cell, error) {
 	cell := &liberty.Cell{
 		Name:        p.Name,
 		Inputs:      append([]string(nil), p.Inputs...),
@@ -296,11 +306,11 @@ func characterizeCell(t *Technology, p *Proto, slews, loads []float64, steps int
 			// Input ramp duration from the 20-80 slew definition.
 			tramp := s / 0.6
 			for j, cl := range loads {
-				up, err := measureArcPoint(t, p, pin, others, true, tramp, cl, steps)
+				up, err := measureArcPoint(t, p, pin, others, true, tramp, cl, steps, st)
 				if err != nil {
 					return nil, err
 				}
-				down, err := measureArcPoint(t, p, pin, others, false, tramp, cl, steps)
+				down, err := measureArcPoint(t, p, pin, others, false, tramp, cl, steps, st)
 				if err != nil {
 					return nil, err
 				}
@@ -314,20 +324,20 @@ func characterizeCell(t *Technology, p *Proto, slews, loads []float64, steps int
 	}
 	// Static power at all-low and all-high inputs, then the dynamic
 	// switching energy against that baseline.
-	lo, hi, err := staticPower(t, p)
+	lo, hi, err := staticPower(t, p, st)
 	if err != nil {
 		return nil, err
 	}
 	cell.LeakLow, cell.LeakHigh = lo, hi
-	if cell.SwitchEnergy, err = measureSwitchEnergy(t, p, lo, hi); err != nil {
+	if cell.SwitchEnergy, err = measureSwitchEnergy(t, p, lo, hi, st); err != nil {
 		return nil, err
 	}
 	return cell, nil
 }
 
 // staticPower solves the DC supply power with all inputs low and all
-// inputs high.
-func staticPower(t *Technology, p *Proto) (lo, hi float64, err error) {
+// inputs high, adding the solver counters to st.
+func staticPower(t *Technology, p *Proto, st *spice.Stats) (lo, hi float64, err error) {
 	run := func(level float64) (float64, error) {
 		c := t.newCircuit()
 		pins := map[string]spice.Node{}
@@ -348,6 +358,7 @@ func staticPower(t *Technology, p *Proto) (lo, hi float64, err error) {
 		pins[p.Output] = c.Node("out")
 		p.Build(c, pins)
 		op, err := c.DCOperatingPoint()
+		st.Add(c.Stats())
 		if err != nil {
 			return 0, err
 		}

@@ -12,8 +12,8 @@ import (
 // static-state energy over the same window, halved (one rise + one
 // fall). Static subtraction uses the same solver and step so systematic
 // integration error cancels — important for the organic cells, whose
-// ratioed static power dwarfs CV^2.
-func measureSwitchEnergy(t *Technology, p *Proto, leakLow, leakHigh float64) (float64, error) {
+// ratioed static power dwarfs CV^2. The solver counters are added to st.
+func measureSwitchEnergy(t *Technology, p *Proto, leakLow, leakHigh float64, st *spice.Stats) (float64, error) {
 	pin := p.Inputs[0]
 	others, err := nonControlling(p, pin)
 	if err != nil {
@@ -59,6 +59,7 @@ func measureSwitchEnergy(t *Technology, p *Proto, leakLow, leakHigh float64) (fl
 	p.Build(c, pins)
 	c.C("CL", out, spice.Ground, 2*p.InputCap)
 	tr, err := c.Transient(window, window/2500, out)
+	st.Add(c.Stats())
 	if err != nil {
 		return 0, fmt.Errorf("energy transient: %w", err)
 	}

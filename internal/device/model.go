@@ -4,12 +4,17 @@ import "math"
 
 // Model is a three-terminal FET compact model in n-normalized form.
 //
-// ID must return the channel current in amperes for the given
-// gate-source and drain-source voltages, with vds >= 0. Implementations
-// must be continuous in both arguments; the circuit simulator computes
-// partial derivatives by finite differences.
+// Eval must return the channel current in amperes for the given
+// gate-source and drain-source voltages, with vds >= 0, together with
+// its analytic partial derivatives gm = dID/dvgs and gds = dID/dvds.
+// Implementations must be continuous in both arguments; the circuit
+// simulator builds its Newton Jacobian from these partials. For vds < 0
+// a model is evaluated at vds = 0 and reports gds = 0.
 type Model interface {
-	// ID returns the drain current in amperes for vds >= 0.
+	// Eval returns the drain current and its partials in one pass.
+	Eval(vgs, vds float64) (id, gm, gds float64)
+	// ID returns the drain current in amperes for vds >= 0. It equals
+	// the id of Eval bit for bit.
 	ID(vgs, vds float64) float64
 	// Name identifies the model (for reports and errors).
 	Name() string
@@ -50,19 +55,28 @@ func (m *Level1) KP() float64 { return m.Mu * m.Geom.Cox }
 
 // ID implements Model.
 func (m *Level1) ID(vgs, vds float64) float64 {
+	id, _, _ := m.Eval(vgs, vds)
+	return id
+}
+
+// Eval implements Model: the square law in triode and saturation, each
+// with its closed-form partials.
+func (m *Level1) Eval(vgs, vds float64) (id, gm, gds float64) {
 	if vds < 0 {
-		vds = 0
+		id, gm, _ = m.Eval(vgs, 0)
+		return id, gm, 0
 	}
 	vov := vgs - m.VT
 	if vov <= 0 {
-		return 0
+		return 0, 0, 0
 	}
 	beta := m.KP() * m.Geom.W / m.Geom.L
 	clm := 1 + m.Lambda*vds
 	if vds < vov {
-		return beta * (vov*vds - 0.5*vds*vds) * clm
+		q := vov*vds - 0.5*vds*vds
+		return beta * q * clm, beta * vds * clm, beta * ((vov-vds)*clm + q*m.Lambda)
 	}
-	return 0.5 * beta * vov * vov * clm
+	return 0.5 * beta * vov * vov * clm, beta * vov * clm, 0.5 * beta * vov * vov * m.Lambda
 }
 
 // Level61 is an RPI-style thin-film-transistor compact model (SPICE level
@@ -111,8 +125,23 @@ func (m *Level61) Name() string { return "level61" }
 
 // ID implements Model.
 func (m *Level61) ID(vgs, vds float64) float64 {
+	id, _, _ := m.Eval(vgs, vds)
+	return id
+}
+
+// Eval implements Model. The partials follow the chain rule through
+// vgte, sharing its exp/log1p and the saturation pow terms:
+//
+//	dvgte/dvgs = s = e^x/(1+e^x)     (1 above x = 40, e^x below -40)
+//	dvgte/dvds = s*DIBL              (0 above the DIBLClamp knee)
+//	dich/dvgte = ich/vgte * (1 + Gamma + p/q)
+//	dvdse/dvds = q^(-1/M) / q        (at fixed vgte)
+//
+// where ich is the channel term of id, p = (vds/vsat)^M and q = 1+p.
+func (m *Level61) Eval(vgs, vds float64) (id, gm, gds float64) {
 	if vds < 0 {
-		vds = 0
+		id, gm, _ = m.Eval(vgs, 0)
+		return id, gm, 0
 	}
 	gammaExp := 2 + math.Abs(m.Gamma)
 	nVt := gammaExp * m.SS / math.Ln10
@@ -120,23 +149,28 @@ func (m *Level61) ID(vgs, vds float64) float64 {
 		nVt = 0.060 / math.Ln10
 	}
 	vdsShift := vds
+	dibl := m.DIBL // -dvte/dvds
 	if m.DIBLClamp > 0 && vdsShift > m.DIBLClamp {
 		vdsShift = m.DIBLClamp
+		dibl = 0
 	}
 	vte := m.VT0 - m.DIBL*vdsShift
 	x := (vgs - vte) / nVt
-	var vgte float64
+	var vgte, s float64
 	switch {
 	case x > 40:
-		vgte = vgs - vte
+		vgte, s = vgs-vte, 1
 	case x < -40:
-		vgte = nVt * math.Exp(x)
+		s = math.Exp(x)
+		vgte = nVt * s
 	default:
-		vgte = nVt * math.Log1p(math.Exp(x))
+		e := math.Exp(x)
+		vgte, s = nVt*math.Log1p(e), e/(1+e)
 	}
-	mu := m.Mu0
+	mu, gamma := m.Mu0, 0.0
 	if m.Gamma != 0 && m.VAA > 0 {
 		mu *= math.Pow(vgte/m.VAA, m.Gamma)
+		gamma = m.Gamma
 	}
 	msat := m.MSat
 	if msat <= 0 {
@@ -147,15 +181,27 @@ func (m *Level61) ID(vgs, vds float64) float64 {
 		alpha = 1
 	}
 	vsat := alpha * vgte
-	var vdse float64
-	if vsat <= 0 {
-		vdse = 0
-	} else {
-		vdse = vds / math.Pow(1+math.Pow(vds/vsat, msat), 1/msat)
+	var vdse, dvdse, pq float64
+	if vsat > 0 {
+		p := math.Pow(vds/vsat, msat)
+		q := 1 + p
+		qm := math.Pow(q, 1/msat)
+		vdse = vds / qm
+		dvdse = 1 / (qm * q)
+		// p overflows to +Inf far past the knee, where vdse = 0 and
+		// p/q would be NaN; the term then vanishes with vdse.
+		if vdse > 0 {
+			pq = p / q
+		}
 	}
-	gch := mu * m.Geom.Cox * (m.Geom.W / m.Geom.L) * vgte
-	id := gch * vdse * (1 + m.Lambda*vds)
-	return id + m.ILeak + m.Gmin*vds
+	k := mu * m.Geom.Cox * (m.Geom.W / m.Geom.L) // gch / vgte
+	gch := k * vgte
+	clm := 1 + m.Lambda*vds
+	ich := gch * vdse * clm
+	dichVgte := k * vdse * clm * (1 + gamma + pq)
+	gm = dichVgte * s
+	gds = dichVgte*s*dibl + gch*(dvdse*clm+vdse*m.Lambda) + m.Gmin
+	return ich + m.ILeak + m.Gmin*vds, gm, gds
 }
 
 // VelSatLevel1 extends Level1 with a velocity-saturation current limit,
@@ -171,19 +217,30 @@ func (m *VelSatLevel1) Name() string { return "level1-vsat" }
 
 // ID implements Model.
 func (m *VelSatLevel1) ID(vgs, vds float64) float64 {
-	id := m.Level1.ID(vgs, vds)
+	id, _, _ := m.Eval(vgs, vds)
+	return id
+}
+
+// Eval implements Model: the square-law partials pass through the
+// quotient rule of the smooth-min blend.
+func (m *VelSatLevel1) Eval(vgs, vds float64) (id, gm, gds float64) {
+	id, gm, gds = m.Level1.Eval(vgs, vds)
 	if m.VSat <= 0 {
-		return id
+		return id, gm, gds
 	}
 	vov := vgs - m.Level1.VT
 	if vov <= 0 {
-		return id
+		return id, gm, gds
 	}
 	// Velocity-saturated limit: Idmax = W * Cox * vov * vsat. Blend with a
 	// smooth-min so the characteristic remains continuous.
 	limit := m.Geom.W * m.Geom.Cox * vov * m.VSat
 	if limit <= 0 {
-		return id
+		return id, gm, gds
 	}
-	return id * limit / (id + limit)
+	// f = id*limit/(id+limit): df/did = (limit/sum)^2, df/dlimit = (id/sum)^2.
+	sum := id + limit
+	wi, wl := limit/sum, id/sum
+	dlimit := m.Geom.W * m.Geom.Cox * m.VSat
+	return id * limit / sum, wi*wi*gm + wl*wl*dlimit, wi * wi * gds
 }

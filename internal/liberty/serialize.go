@@ -10,7 +10,7 @@ import (
 
 // The text serialization is a minimal line-oriented liberty-like format
 // so characterized libraries can be cached on disk (characterization
-// costs ~10 s per technology). The format is versioned; readers reject
+// costs seconds per technology). The format is versioned; readers reject
 // mismatched versions so stale caches regenerate.
 const formatVersion = 4
 

@@ -135,7 +135,31 @@ type Circuit struct {
 	MaxIter int     // Newton iteration limit per solve (default 300)
 	VTol    float64 // absolute voltage convergence tolerance (default 1e-6)
 	MaxStep float64 // per-iteration voltage damping limit (default 0.5 V)
+
+	// Newton workspace, sized to the unknowns of the last solve.
+	jac [][]float64
+	rhs []float64
+
+	stats Stats
 }
+
+// Stats counts the solver work done on a Circuit. A Circuit is used by
+// one goroutine at a time, so the counters are plain integers.
+type Stats struct {
+	NewtonIters    int // Newton iterations over all solves
+	GminStepping   int // DC solves that fell back to gmin stepping
+	SourceStepping int // DC solves that fell back to source stepping
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.NewtonIters += o.NewtonIters
+	s.GminStepping += o.GminStepping
+	s.SourceStepping += o.SourceStepping
+}
+
+// Stats returns the solver counters accumulated since NewCircuit.
+func (c *Circuit) Stats() Stats { return c.stats }
 
 // NewCircuit returns an empty circuit with default solver options.
 func NewCircuit() *Circuit {

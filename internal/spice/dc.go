@@ -49,24 +49,32 @@ type assembleOpts struct {
 	dt        float64 // transient step
 }
 
-// mosCurrent returns the current flowing from node d into the device
-// channel, for the given terminal voltages.
-func (m *mosfet) current(vd, vg, vs float64) float64 {
+// linearize returns the current flowing from node d into the device
+// channel at the given terminal voltages, with its partials with respect
+// to vd, vg and vs. The channel current is sigma*ID(sigma*vgs, sigma*vds)
+// in the forward orientation (sigma = -1 mirrors a PMOS), so the sigma
+// factors cancel in the partials. The current depends only on voltage
+// differences, so gds = -(gdd+gdg) holds exactly.
+func (m *mosfet) linearize(vd, vg, vs float64) (i, gdd, gdg, gds float64) {
 	sigma := 1.0
 	if m.pol == P {
 		sigma = -1
 	}
-	vds := sigma * (vd - vs)
-	if vds >= 0 {
-		id := m.model.ID(sigma*(vg-vs), vds)
-		return sigma * id
+	if vds := sigma * (vd - vs); vds >= 0 {
+		id, gm, g0 := m.model.Eval(sigma*(vg-vs), vds)
+		i, gdd, gdg = sigma*id, g0, gm
+	} else {
+		// Swap drain/source roles.
+		id, gm, g0 := m.model.Eval(sigma*(vg-vd), sigma*(vs-vd))
+		i, gdd, gdg = -sigma*id, gm+g0, -gm
 	}
-	// Swap drain/source roles.
-	id := m.model.ID(sigma*(vg-vd), sigma*(vs-vd))
-	return -sigma * id
+	return i, gdd, gdg, -(gdd + gdg)
 }
 
-// assemble builds the linearized MNA system J*x = rhs around x0.
+// assemble builds the linearized MNA system J*x = rhs around x0. Linear
+// elements stamp their conductances; each MOSFET stamps the analytic
+// partials of its channel current (see linearize) and the affine
+// remainder of its linearization.
 func (c *Circuit) assemble(j [][]float64, rhs, x0 []float64, opt assembleOpts) {
 	n := len(rhs)
 	for i := range rhs {
@@ -141,14 +149,10 @@ func (c *Circuit) assemble(j [][]float64, rhs, x0 []float64, opt assembleOpts) {
 			rhs[index(is.b)] += cur
 		}
 	}
-	// MOSFETs: finite-difference linearization of the channel current.
-	const h = 1e-6
+	// MOSFETs: analytic linearization of the channel current.
 	for _, m := range c.mos {
 		vd, vg, vs := volt(m.d), volt(m.g), volt(m.s)
-		f0 := m.current(vd, vg, vs)
-		gdd := (m.current(vd+h, vg, vs) - f0) / h
-		gdg := (m.current(vd, vg+h, vs) - f0) / h
-		gds := (m.current(vd, vg, vs+h) - f0) / h
+		f0, gdd, gdg, gds := m.linearize(vd, vg, vs)
 		// Current leaving node d into the channel: f(vd,vg,vs). Linearize:
 		// f = f0 + gdd*dvd + gdg*dvg + gds*dvs. The KCL contribution of
 		// the linear part goes in J; the affine remainder goes to rhs.
@@ -175,18 +179,25 @@ func (c *Circuit) assemble(j [][]float64, rhs, x0 []float64, opt assembleOpts) {
 }
 
 // newton runs damped Newton-Raphson from guess x0 (which may be nil).
+// The Jacobian and right-hand side live on the Circuit and are
+// reallocated only when the number of unknowns changes.
 func (c *Circuit) newton(x0 []float64, opt assembleOpts) ([]float64, error) {
 	n := c.unknowns()
 	x := make([]float64, n)
 	if x0 != nil {
 		copy(x, x0)
 	}
-	j := make([][]float64, n)
-	for i := range j {
-		j[i] = make([]float64, n)
+	if len(c.rhs) != n {
+		c.rhs = make([]float64, n)
+		c.jac = make([][]float64, n)
+		buf := make([]float64, n*n)
+		for i := range c.jac {
+			c.jac[i] = buf[i*n : (i+1)*n : (i+1)*n]
+		}
 	}
-	rhs := make([]float64, n)
+	j, rhs := c.jac, c.rhs
 	for iter := 0; iter < c.MaxIter; iter++ {
+		c.stats.NewtonIters++
 		c.assemble(j, rhs, x, opt)
 		xNew, err := solveDense(j, rhs)
 		if err != nil {
@@ -222,6 +233,7 @@ func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
 		return x, nil
 	}
 	// Gmin stepping: relax with a large shunt conductance, then tighten.
+	c.stats.GminStepping++
 	var x []float64
 	ok := true
 	for g := 1e-3; g >= 1e-12; g /= 10 {
@@ -240,6 +252,7 @@ func (c *Circuit) solveDC(t float64, guess []float64) ([]float64, error) {
 		}
 	}
 	// Source stepping.
+	c.stats.SourceStepping++
 	x = nil
 	for scale := 0.05; scale <= 1.0001; scale += 0.05 {
 		opt := base

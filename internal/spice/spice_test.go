@@ -224,13 +224,81 @@ func TestMOSOrientationSymmetry(t *testing.T) {
 	// must give the same channel current magnitude at mirrored bias.
 	m := device.SiliconNMOS(device.SiliconWN)
 	dev := &mosfet{pol: N, model: m}
-	i1 := dev.current(1.0, 1.1, 0) // vds = +1
-	i2 := dev.current(0, 1.1, 1.0) // roles swapped
+	i1, _, _, _ := dev.linearize(1.0, 1.1, 0) // vds = +1
+	i2, _, _, _ := dev.linearize(0, 1.1, 1.0) // roles swapped
 	if i1 <= 0 {
 		t.Fatalf("forward current should be positive, got %g", i1)
 	}
 	if math.Abs(i1+i2) > 1e-12*math.Abs(i1) {
 		t.Fatalf("swap asymmetry: %g vs %g", i1, i2)
+	}
+
+	// The stamped partials, for N and P devices in both orientations:
+	// they sum to zero exactly and match central differences of the
+	// channel current.
+	devs := []struct {
+		name string
+		dev  *mosfet
+		bias [][3]float64 // (vd, vg, vs)
+	}{
+		{"nmos", &mosfet{pol: N, model: device.SiliconNMOS(device.SiliconWN)},
+			[][3]float64{{1.0, 1.1, 0}, {0.2, 0.9, 0}, {0, 1.1, 1.0}, {0.1, 0.8, 0.6}, {0.5, 0.2, 0}}},
+		{"pmos", &mosfet{pol: P, model: device.SiliconPMOS(device.SiliconWP)},
+			[][3]float64{{0, 0, 1.1}, {0.9, 0.2, 1.1}, {1.1, 0, 0}, {0.4, 0.1, 0.7}, {0.5, 1.0, 1.1}}},
+		{"organic-p", &mosfet{pol: P, model: device.PentaceneGolden()},
+			[][3]float64{{-10, -15, 5}, {0, -10, 5}, {5, -10, 0}, {3, 5, 5}, {-15, 0, 5}}},
+	}
+	for _, d := range devs {
+		for _, b := range d.bias {
+			vd, vg, vs := b[0], b[1], b[2]
+			_, gdd, gdg, gds := d.dev.linearize(vd, vg, vs)
+			if sum := gdd + gdg + gds; sum != 0 {
+				t.Errorf("%s at %v: gdd+gdg+gds = %g, want exactly 0", d.name, b, sum)
+			}
+			cur := func(vd, vg, vs float64) float64 {
+				i, _, _, _ := d.dev.linearize(vd, vg, vs)
+				return i
+			}
+			const h = 1e-6
+			fd := [3]float64{
+				(cur(vd+h, vg, vs) - cur(vd-h, vg, vs)) / (2 * h),
+				(cur(vd, vg+h, vs) - cur(vd, vg-h, vs)) / (2 * h),
+				(cur(vd, vg, vs+h) - cur(vd, vg, vs-h)) / (2 * h),
+			}
+			i0 := cur(vd, vg, vs)
+			for k, g := range [3]float64{gdd, gdg, gds} {
+				if diff := math.Abs(g - fd[k]); diff > 1e-5*math.Abs(fd[k])+1e-7*math.Abs(i0)+1e-24 {
+					t.Errorf("%s at %v: partial %d = %.10g, central difference %.10g", d.name, b, k, g, fd[k])
+				}
+			}
+		}
+	}
+}
+
+// TestNewtonWorkspaceResize adds a node to a circuit after it has been
+// solved: the reused Newton workspace must grow with the new unknowns.
+func TestNewtonWorkspaceResize(t *testing.T) {
+	c := NewCircuit()
+	a, mid := c.Node("a"), c.Node("mid")
+	c.V("V1", a, Ground, DC(10))
+	c.R("R1", a, mid, 1e3)
+	c.R("R2", mid, Ground, 3e3)
+	if _, err := c.DCOperatingPoint(); err != nil {
+		t.Fatal(err)
+	}
+	low := c.Node("low")
+	c.R("R3", mid, low, 1e3)
+	c.R("R4", low, Ground, 1e3)
+	op, err := c.DCOperatingPoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// R2 || (R3+R4) = 1.2k against R1 = 1k: mid = 10*1.2/2.2.
+	if want := 10 * 1.2 / 2.2; math.Abs(op.V(mid)-want) > 1e-6 || math.Abs(op.V(low)-want/2) > 1e-6 {
+		t.Fatalf("mid, low = %g, %g; want %g, %g", op.V(mid), op.V(low), want, want/2)
+	}
+	if st := c.Stats(); st.NewtonIters < 4 || st.GminStepping != 0 || st.SourceStepping != 0 {
+		t.Fatalf("stats = %+v, want >= 2 iterations per solve and no fallbacks", st)
 	}
 }
 
@@ -377,6 +445,28 @@ func TestGminSteppingFallback(t *testing.T) {
 	v := op.V(prev)
 	if v <= 0 || v > 1.1 {
 		t.Fatalf("chain output %g outside rails", v)
+	}
+}
+
+func TestStatsCountFallbacks(t *testing.T) {
+	// A tight damping limit keeps plain Newton and gmin stepping from
+	// crossing 10 V within MaxIter, so only source stepping converges.
+	c := NewCircuit()
+	c.MaxStep = 0.02
+	a, mid := c.Node("a"), c.Node("mid")
+	c.V("V1", a, Ground, DC(10))
+	c.R("R1", a, mid, 1e3)
+	c.R("R2", mid, Ground, 1e3)
+	op, err := c.DCOperatingPoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := op.V(mid); math.Abs(v-5) > 1e-6 {
+		t.Fatalf("mid = %g, want 5", v)
+	}
+	st := c.Stats()
+	if st.GminStepping != 1 || st.SourceStepping != 1 || st.NewtonIters <= 2*c.MaxIter {
+		t.Fatalf("stats = %+v, want one gmin and one source-stepping fallback after two failed solves", st)
 	}
 }
 
