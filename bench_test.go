@@ -207,11 +207,11 @@ func BenchmarkFig14WidthArea(b *testing.B) {
 // BenchmarkFig15WireEffect regenerates the wire-delay ablation.
 func BenchmarkFig15WireEffect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		wet, err := core.ALUDepthSweep(core.SiliconTech(), 30, true)
+		wet, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, true, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dry, err := core.ALUDepthSweep(core.SiliconTech(), 30, false)
+		dry, err := core.ALUDepthSweep(context.Background(), core.SiliconTech(), 30, false, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func BenchmarkAblationWireStrength(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := map[float64]int{}
 		for _, k := range []float64{1, 2, 4} {
-			pts, err := core.ALUDepthSweepK(tech, 30, true, k)
+			pts, err := core.ALUDepthSweep(context.Background(), tech, 30, true, k, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func BenchmarkAblationPredictorSize(b *testing.B) {
 // against naive equal-count chunking for the 22-stage organic ALU.
 func BenchmarkAblationPartitioning(b *testing.B) {
 	tech := core.OrganicTech()
-	pts, err := core.ALUDepthSweep(tech, 1, true)
+	pts, err := core.ALUDepthSweep(context.Background(), tech, 1, true, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

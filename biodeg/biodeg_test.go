@@ -33,7 +33,7 @@ func TestSimulateIPC(t *testing.T) {
 	cfg := DefaultCore()
 	cfg.FrontWidth = 2
 	cfg.BackWidth = 4
-	st, err := SimulateIPC("gzip", cfg)
+	st, err := New().SimulateIPC(context.Background(), "gzip", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestExperimentsList(t *testing.T) {
 	if len(Experiments()) < 10 {
 		t.Fatalf("registry too small: %d", len(Experiments()))
 	}
-	tables, err := RunExperiment("fig3")
+	tables, err := New().RunExperiment(context.Background(), "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tables[0].Render(), "mu_lin") {
 		t.Error("fig3 table missing mobility row")
 	}
-	if _, err := RunExperiment("fig99"); err == nil {
+	if _, err := New().RunExperiment(context.Background(), "fig99"); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
@@ -63,6 +63,7 @@ func TestExperimentsList(t *testing.T) {
 // against each other must all succeed and agree. Run under -race this
 // is the safety test for the per-key singleflight caches.
 func TestConcurrentExperiments(t *testing.T) {
+	s := New()
 	ids := []string{"fig3", "fig4", "fig3", "fig4"}
 	var wg sync.WaitGroup
 	renders := make([]string, len(ids))
@@ -71,7 +72,7 @@ func TestConcurrentExperiments(t *testing.T) {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			tables, err := RunExperiment(id)
+			tables, err := s.RunExperiment(context.Background(), id)
 			if err != nil {
 				errs[i] = err
 				return
@@ -85,7 +86,7 @@ func TestConcurrentExperiments(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := SimulateIPC("gzip", cfg)
+			st, err := s.SimulateIPC(context.Background(), "gzip", cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -110,33 +111,34 @@ func TestConcurrentExperiments(t *testing.T) {
 }
 
 func TestRunExperimentsAPI(t *testing.T) {
-	res, err := RunExperiments(context.Background(), "fig4", "fig3")
+	res, err := New().RunExperiments(context.Background(), "fig4", "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 2 || res[0].Experiment.ID != "fig4" || res[1].Experiment.ID != "fig3" {
 		t.Fatalf("results not in requested order: %+v", res)
 	}
-	if _, err := RunExperiments(context.Background(), "fig3", "fig99"); err == nil {
+	if _, err := New().RunExperiments(context.Background(), "fig3", "fig99"); err == nil {
 		t.Error("unknown ID must fail before any experiment runs")
 	}
 }
 
 func TestProgressHook(t *testing.T) {
+	s := New()
 	var mu sync.Mutex
 	stages := map[string]int64{}
-	OnProgress(func(stage string, count int64, d time.Duration) {
+	s.OnProgress(func(stage string, count int64, d time.Duration) {
 		mu.Lock()
 		stages[stage] = count
 		mu.Unlock()
 	})
-	defer OnProgress(nil)
-	if _, err := RunExperiment("fig3"); err != nil {
+	defer s.OnProgress(nil)
+	if _, err := s.RunExperiment(context.Background(), "fig3"); err != nil {
 		t.Fatal(err)
 	}
 	// fig3 is pure device-model work; the hook must at least not fire
 	// with junk. Drive one IPC simulation so a stage definitely fires.
-	if _, err := SimulateIPC("dhrystone", DefaultCore()); err != nil {
+	if _, err := s.SimulateIPC(context.Background(), "dhrystone", DefaultCore()); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -145,8 +147,8 @@ func TestProgressHook(t *testing.T) {
 	if ipcCount < 1 {
 		t.Error("progress hook never fired for the ipc stage")
 	}
-	if Parallelism() < 1 {
-		t.Error("Parallelism() must be >= 1")
+	if s.Workers() < 1 {
+		t.Error("Workers() must be >= 1")
 	}
 }
 
@@ -158,7 +160,7 @@ func TestTechnologiesThroughAPI(t *testing.T) {
 	if Library(org).FO4() <= Library(sil).FO4() {
 		t.Error("organic FO4 must exceed silicon's")
 	}
-	pts, err := ALUDepth(sil, 10)
+	pts, err := New().ALUDepth(context.Background(), sil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,14 +27,14 @@
 // from their flags), and parallel results are ordered by design point
 // — bit-identical to a serial run. Two sessions with different worker
 // counts or tracers coexist in one process; the biodegd daemon serves
-// all its HTTP traffic from one shared Session. The former top-level
-// function pairs (Widths/WidthsCtx, ...) remain as deprecated wrappers
-// over a package-default session. Session.RunExperiments executes
-// independent paper figures concurrently; Session.MetricsReport
-// renders the per-stage wall-time report, and OnProgress registers
-// live progress callbacks.
+// all its HTTP traffic from one shared Session. A session configured
+// WithCoordinator fans its sweeps' points out to shard peers instead
+// of its own pool; the sweep code path is the same either way.
+// Session.RunExperiments executes independent paper figures
+// concurrently; Session.MetricsReport renders the per-stage wall-time
+// report, and Session.OnProgress registers live progress callbacks.
 //
-// Observability: the Ctx variants parent their spans (internal/obs) to
+// Observability: Session methods parent their spans (internal/obs) to
 // the span carried by ctx, so a tracing run shows the full
 // run > experiment > sweep > grid-point > sta/ipc tree. The commands
 // expose the sinks as flags (-trace, -jsonl, -manifest, -pprof, each

@@ -238,10 +238,6 @@ func New(opts ...Option) *Session {
 	return s
 }
 
-// defaultSession backs the deprecated top-level functions. It sets no
-// options, so it follows the process default configuration.
-var defaultSession = New()
-
 // config resolves the session's effective configuration: explicit
 // options over the process default, read at call time.
 func (s *Session) config() config.Config {
@@ -391,17 +387,14 @@ func (s *Session) Logger() *slog.Logger { return s.logger }
 
 // ALUDepth pipelines the 32-bit complex ALU (CSA multiplier + stallable
 // divider datapath) from 1 to maxStages, reproducing Figure 12. The
-// sweep fans out on the session's worker pool and stops early when ctx
-// is cancelled.
+// sweep fans out on the session's worker pool (or its shard peers) and
+// stops early when ctx is cancelled.
 func (s *Session) ALUDepth(ctx context.Context, t *Technology, maxStages int) ([]ALUPoint, error) {
 	ctx, err := s.bind(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if config.Get(ctx).Coordinator {
-		return core.ALUDepthSharded(ctx, t, maxStages, s.sharder().Evaluate)
-	}
-	return core.ALUDepthSweepCtx(ctx, t, maxStages, true)
+	return core.ALUDepthSweep(ctx, t, maxStages, true, 0, s.evaluator(ctx))
 }
 
 // CoreDepth sweeps the 9-stage baseline core to maxDepth by repeatedly
@@ -412,10 +405,7 @@ func (s *Session) CoreDepth(ctx context.Context, t *Technology, minDepth, maxDep
 	if err != nil {
 		return nil, err
 	}
-	if config.Get(ctx).Coordinator {
-		return core.CoreDepthSharded(ctx, t, minDepth, maxDepth, s.sharder().Evaluate)
-	}
-	return core.CoreDepthSweepCtx(ctx, t, minDepth, maxDepth, true)
+	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true, s.evaluator(ctx))
 }
 
 // Widths sweeps the thirty superscalar width configurations
@@ -425,10 +415,17 @@ func (s *Session) Widths(ctx context.Context, t *Technology) ([]WidthPoint, erro
 	if err != nil {
 		return nil, err
 	}
+	return core.WidthSweep(ctx, t, s.evaluator(ctx))
+}
+
+// evaluator picks where a sweep's points run: nil (this process's
+// worker pool) unless the session coordinates, in which case the shard
+// coordinator fans them out to its peers.
+func (s *Session) evaluator(ctx context.Context) core.Evaluator {
 	if config.Get(ctx).Coordinator {
-		return core.WidthSharded(ctx, t, s.sharder().Evaluate)
+		return s.sharder().Evaluate
 	}
-	return core.WidthSweepCtx(ctx, t)
+	return nil
 }
 
 // sharder lazily builds the session's shard coordinator: the loopback
@@ -455,7 +452,7 @@ func (s *Session) sharder() *shard.Coordinator {
 // half of the coordinator/worker layer, served by biodegd at
 // POST /v1/shards/exec. The leased points run on the session's worker
 // pool under its full posture (faults, retries, checkpoint journal)
-// with the same per-point keys a local sweep uses.
+// with the same per-point keys an in-process sweep uses.
 func (s *Session) ShardExec(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
 	ctx, err := s.bind(ctx)
 	if err != nil {

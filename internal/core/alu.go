@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -44,57 +43,47 @@ func aluResult(ctx context.Context, t *Tech, wire bool) (*sta.Result, error) {
 
 // ALUDepthSweep reproduces Figure 12: pipeline the complex ALU
 // (multiplier + stallable-divider datapath) from 1 to maxStages and
-// report frequency and area at each depth.
-func ALUDepthSweep(t *Tech, maxStages int, wire bool) ([]pipeline.Point, error) {
-	return ALUDepthSweepK(t, maxStages, wire, 0)
-}
-
-// ALUDepthSweepCtx is ALUDepthSweep with cancellation.
-func ALUDepthSweepCtx(ctx context.Context, t *Tech, maxStages int, wire bool) ([]pipeline.Point, error) {
-	return aluDepthSweep(ctx, t, maxStages, wire, 0)
-}
-
-// ALUDepthSweepK is ALUDepthSweep with an explicit feedback-wire
-// constant (0 selects the pipeline package default) — the ablation knob
-// for the paper's causal mechanism.
-func ALUDepthSweepK(t *Tech, maxStages int, wire bool, feedbackK float64) ([]pipeline.Point, error) {
-	return aluDepthSweep(context.Background(), t, maxStages, wire, feedbackK)
-}
-
-// aluDepthSweep analyzes the ALU once (cached) and partitions each
-// depth independently on the worker pool; per-depth points depend only
-// on their stage count, so the parallel sweep is bit-identical to the
-// serial one. The whole sweep runs under one "sweep:aludepth" span,
-// with one grid-point span per depth. Each point is a fault-injection
-// site ("alu-point:tech:wire:nK"); under config.PartialResults a failed
+// report frequency and area at each depth. wire selects the wire-delay
+// mode (off for the Figure 15 ablation) and feedbackK the feedback-wire
+// constant (0 = the pipeline default; the causal-mechanism ablation
+// knob). eval nil evaluates in this process: the ALU is analyzed once
+// (cached) and each depth partitions independently on the worker pool,
+// so the result is bit-identical to a serial loop. A non-nil eval (the
+// shard coordinator) computes the points instead; it can evaluate only
+// the wire-on, default-constant grid. The whole sweep runs under one
+// "sweep:aludepth" span. Each point is a fault-injection site
+// ("alu-point:tech:wire:nK"); under config.PartialResults a failed
 // point is returned with its Err annotation instead of aborting the
 // sweep.
-func aluDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, feedbackK float64) ([]pipeline.Point, error) {
-	ctx, sp := obs.Start(ctx, "sweep:aludepth",
-		obs.KV("tech", t.Name), obs.Bool("wire", wire), obs.Int("max_stages", maxStages))
+func ALUDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, feedbackK float64, eval Evaluator) ([]pipeline.Point, error) {
+	ctx, sp := obs.Start(ctx, "sweep:aludepth", obs.KV("tech", t.Name),
+		obs.Bool("wire", wire), obs.Int("max_stages", maxStages), obs.Bool("sharded", eval != nil))
 	defer sp.End()
-	key, point := aluParts(t, wire, feedbackK)
-	chunk := runner.Chunk(ctx, maxStages)
-	if !config.Get(ctx).PartialResults {
-		return runner.MapKeyedChunked(ctx, maxStages, chunk, key, point)
-	}
-	pts, errs, err := runner.MapPartialKeyedChunked(ctx, maxStages, chunk, key, point)
+	g, err := aluGrid(t, maxStages, wire, feedbackK)
 	if err != nil {
 		return nil, err
 	}
-	for _, te := range errs {
-		pts[te.Index] = pipeline.Point{Stages: te.Index + 1, Err: runner.ErrLabel(te.Err)}
+	pts, errs, err := evaluate[pipeline.Point](ctx, g, eval)
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range errs {
+		if e != "" {
+			pts[i] = pipeline.Point{Stages: i + 1, Err: e}
+		}
 	}
 	return pts, nil
 }
 
-// aluParts returns the Figure 12 lattice parts shared by the local
-// sweep and the shard grid: the per-point checkpoint keys and the typed
-// evaluator (each depth is one checkpoint record, so a resumed or
-// remotely-evaluated sweep replays journaled depths bit-identically).
-// The shared ALU analysis is resolved lazily inside the evaluator, so
-// building the parts costs nothing.
-func aluParts(t *Tech, wire bool, feedbackK float64) (runner.KeyFunc, func(context.Context, int) (pipeline.Point, error)) {
+// aluGrid is the Figure 12 lattice: one point (and one checkpoint
+// record) per depth 1..maxStages, so a resumed or remotely-evaluated
+// sweep replays journaled depths bit-identically. The shared ALU
+// analysis is resolved lazily inside Eval, so building the grid costs
+// nothing.
+func aluGrid(t *Tech, maxStages int, wire bool, feedbackK float64) (*Grid, error) {
+	if maxStages <= 0 {
+		return nil, fmt.Errorf("alu-depth grid: max_stages %d out of range", maxStages)
+	}
 	cfg := pipeline.Config{
 		RankBits:  aluRankBits,
 		Wire:      t.Wire,
@@ -117,7 +106,11 @@ func aluParts(t *Tech, wire bool, feedbackK float64) (runner.KeyFunc, func(conte
 		return checkpoint.PointID("alu", t.Name, wireTag(wire),
 			"k"+strconv.FormatFloat(feedbackK, 'g', -1, 64), "n"+strconv.Itoa(i+1))
 	}
-	return key, point
+	return &Grid{
+		Kind: GridALUDepth, Tech: t.Name, Wire: wire, FeedbackK: feedbackK,
+		MaxStages: maxStages, N: maxStages,
+		Key: key, Eval: checkpointed(key, point),
+	}, nil
 }
 
 // wireTag names the wire mode inside fault-site identities.

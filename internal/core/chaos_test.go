@@ -35,7 +35,7 @@ func TestALUPartialSweepAnnotatesFailedPoints(t *testing.T) {
 	}
 	tech := SiliconTech()
 	in := fault.New(mustSpec(t, "seed=7,rate=0.5,kinds=error,stages=alu-point"))
-	pts, err := ALUDepthSweepCtx(chaosCtx(in), tech, 12, true)
+	pts, err := ALUDepthSweep(chaosCtx(in), tech, 12, true, 0, nil)
 	if err != nil {
 		t.Fatalf("partial sweep aborted: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestALUPartialSweepSameSeedSameSites(t *testing.T) {
 	tech := SiliconTech()
 	sites := func() []int {
 		in := fault.New(mustSpec(t, "seed=3,rate=0.4,kinds=error,stages=alu-point"))
-		pts, err := ALUDepthSweepCtx(chaosCtx(in), tech, 12, false)
+		pts, err := ALUDepthSweep(chaosCtx(in), tech, 12, false, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestDepthPartialSweepAnnotatesBenchmarks(t *testing.T) {
 	}
 	tech := SiliconTech()
 	in := fault.New(mustSpec(t, "seed=11,rate=0.5,kinds=error,stages=depth-point"))
-	pts, err := CoreDepthSweepCtx(chaosCtx(in), tech, 9, 10, true)
+	pts, err := CoreDepthSweep(chaosCtx(in), tech, 9, 10, true, nil)
 	if err != nil {
 		t.Fatalf("partial sweep aborted: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestNonPartialSweepStillFailsFast(t *testing.T) {
 	tech := SiliconTech()
 	in := fault.New(mustSpec(t, "seed=7,rate=1,kinds=error,stages=alu-point"))
 	ctx := fault.WithInjector(context.Background(), in) // no PartialResults
-	if _, err := ALUDepthSweepCtx(ctx, tech, 6, true); !errors.Is(err, fault.ErrInjected) {
+	if _, err := ALUDepthSweep(ctx, tech, 6, true, 0, nil); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected fault to abort the sweep", err)
 	}
 }

@@ -32,7 +32,7 @@ func TestALUSweepReplayBitIdentical(t *testing.T) {
 
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
 	ctx := runner.WithCheckpoint(base, jnl)
-	pts1, err := ALUDepthSweepCtx(ctx, tech, 6, true)
+	pts1, err := ALUDepthSweep(ctx, tech, 6, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestALUSweepReplayBitIdentical(t *testing.T) {
 	// clean, identical result proves every point replayed.
 	in := fault.New(mustSpec(t, "seed=7,rate=1,kinds=error,stages=alu-point"))
 	skippedBefore := metrics.Count(metrics.StageCheckpointSkipped)
-	pts2, err := ALUDepthSweepCtx(fault.WithInjector(ctx, in), tech, 6, true)
+	pts2, err := ALUDepthSweep(fault.WithInjector(ctx, in), tech, 6, true, 0, nil)
 	if err != nil {
 		t.Fatalf("replay run computed instead of replaying: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestWidthSweepResumesAcrossJournalReopen(t *testing.T) {
 
 	// Reference: uninterrupted, fault-free.
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
-	want, err := WidthSweepCtx(base, tech)
+	want, err := WidthSweep(base, tech, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestWidthSweepResumesAcrossJournalReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.New(mustSpec(t, "seed=3,rate=0.3,kinds=error,stages=width-point"))
-	_, sweepErr := WidthSweepCtx(fault.WithInjector(runner.WithCheckpoint(base, jnl), in), tech)
+	_, sweepErr := WidthSweep(fault.WithInjector(runner.WithCheckpoint(base, jnl), in), tech, nil)
 	if sweepErr == nil {
 		t.Skip("seed faulted nothing on this grid; nothing to resume")
 	}
@@ -104,7 +104,7 @@ func TestWidthSweepResumesAcrossJournalReopen(t *testing.T) {
 	if rec.Records != committed {
 		t.Fatalf("recovered %d records, committed %d", rec.Records, committed)
 	}
-	got, err := WidthSweepCtx(runner.WithCheckpoint(base, jnl2), tech)
+	got, err := WidthSweep(runner.WithCheckpoint(base, jnl2), tech, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

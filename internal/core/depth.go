@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 	"repro/internal/uarch"
 )
 
@@ -37,63 +36,39 @@ type DepthPoint struct {
 // 9-stage baseline (front-end width 1, three execution pipes) and
 // repeatedly cut the stage on the critical path, re-simulating IPC for
 // each resulting design (the cut placement differs between technologies
-// because their critical stages differ — Section 5.5).
-func CoreDepthSweep(t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
-	return CoreDepthSweepCtx(context.Background(), t, minDepth, maxDepth, wire)
-}
-
-// CoreDepthSweepCtx is CoreDepthSweep with cancellation. The cut
+// because their critical stages differ — Section 5.5). The cut
 // placement is inherently serial (each depth's cuts depend on the
-// previous critical path), so the cheap timing walk stays sequential;
-// the expensive part — seven benchmark IPC simulations per depth — fans
-// out over the worker pool as depth x benchmark tasks. Results are
-// assembled by index and are bit-identical to the serial sweep.
-func CoreDepthSweepCtx(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
+// previous critical path), so the cheap timing walk runs first, once,
+// in this process; the expensive part — seven benchmark IPC
+// simulations per depth — is the grid of depth x benchmark points,
+// evaluated on the worker pool when eval is nil and by eval (the shard
+// coordinator, wire mode only) otherwise. Results are assembled by
+// index and are bit-identical to the serial sweep.
+func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool, eval Evaluator) ([]DepthPoint, error) {
 	ctx, sweepSpan := obs.Start(ctx, "sweep:coredepth",
 		obs.KV("tech", t.Name), obs.Bool("wire", wire),
-		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth))
+		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth), obs.Bool("sharded", eval != nil))
 	defer sweepSpan.End()
-	pts, err := depthSkeleton(ctx, t, minDepth, maxDepth, wire)
+	g, err := depthGrid(t, minDepth, maxDepth, wire)
 	if err != nil {
 		return nil, err
 	}
-	// Simulate every (depth, benchmark) pair concurrently, then fill the
-	// per-point maps in order. Each pair is one grid-point span and a
-	// fault-injection site ("depth-point:tech:wire:dN:bench").
+	pts, err := g.skeleton(ctx)
+	if err != nil {
+		return nil, err
+	}
+	stats, errs, err := evaluate[uarch.Stats](ctx, g, eval)
+	if err != nil {
+		return nil, err
+	}
 	benches := Benchmarks()
-	point := func(ctx context.Context, i int) (uarch.Stats, error) {
-		return depthPairEval(ctx, t, wire, pts[i/len(benches)], benches[i%len(benches)])
-	}
-	// One checkpoint record per (depth, benchmark) pair; the cheap
-	// serial timing walk above recomputes deterministically on resume.
-	key := func(i int) string {
-		return depthPairKey(t, wire, pts[i/len(benches)].Depth, benches[i%len(benches)])
-	}
-	var stats []uarch.Stats
-	n := len(pts) * len(benches)
-	chunk := runner.Chunk(ctx, n)
-	if config.Get(ctx).PartialResults {
-		var errs []*runner.TaskError
-		stats, errs, err = runner.MapPartialKeyedChunked(ctx, n, chunk, key, point)
-		if err != nil {
-			return nil, err
-		}
-		for _, te := range errs {
-			pt, b := &pts[te.Index/len(benches)], benches[te.Index%len(benches)]
+	for i, st := range stats {
+		pt, b := &pts[i/len(benches)], benches[i%len(benches)]
+		if errs[i] != "" {
 			if pt.Errors == nil {
 				pt.Errors = map[string]string{}
 			}
-			pt.Errors[b] = runner.ErrLabel(te.Err)
-		}
-	} else {
-		stats, err = runner.MapKeyedChunked(ctx, n, chunk, key, point)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, st := range stats {
-		pt, b := &pts[i/len(benches)], benches[i%len(benches)]
-		if pt.Errors[b] != "" {
+			pt.Errors[b] = errs[i]
 			continue
 		}
 		pt.IPC[b] = st.IPC
@@ -102,12 +77,54 @@ func CoreDepthSweepCtx(ctx context.Context, t *Tech, minDepth, maxDepth int, wir
 	return pts, nil
 }
 
+// depthGrid is the Figure 11 lattice: one point (and one checkpoint
+// record) per (depth, benchmark) pair, depth-major. The serial
+// cut-placement walk runs once, on the first skeleton or Eval call, and
+// recomputes deterministically on resume; keys need only arithmetic.
+// Each point is a grid-point span and a fault-injection site
+// ("depth-point:tech:wire:dN:bench").
+func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) (*Grid, error) {
+	if maxDepth < minDepth || minDepth <= 0 {
+		return nil, fmt.Errorf("core-depth grid: depth bounds [%d, %d] out of range", minDepth, maxDepth)
+	}
+	benches := Benchmarks()
+	first := depthFirst(minDepth)
+	n := (maxDepth - first + 1) * len(benches)
+	if n < 0 {
+		n = 0
+	}
+	var (
+		once sync.Once
+		pts  []DepthPoint
+		err  error
+	)
+	skeleton := func(ctx context.Context) ([]DepthPoint, error) {
+		once.Do(func() { pts, err = depthSkeleton(ctx, t, minDepth, maxDepth, wire) })
+		return pts, err
+	}
+	key := func(i int) string {
+		return depthPairKey(t, wire, first+i/len(benches), benches[i%len(benches)])
+	}
+	point := func(ctx context.Context, i int) (uarch.Stats, error) {
+		pts, err := skeleton(ctx)
+		if err != nil {
+			return uarch.Stats{}, err
+		}
+		return depthPairEval(ctx, t, wire, pts[i/len(benches)], benches[i%len(benches)])
+	}
+	return &Grid{
+		Kind: GridCoreDepth, Tech: t.Name, Wire: wire,
+		MinDepth: minDepth, MaxDepth: maxDepth, N: n,
+		Key: key, Eval: checkpointed(key, point), skeleton: skeleton,
+	}, nil
+}
+
 // depthSkeleton runs the paper's serial cut-placement walk: starting
 // from the 9-stage baseline (front-end width 1, three execution pipes),
 // repeatedly cut the critical stage up to maxDepth, recording timing,
 // area, and cut placement for every depth >= minDepth. The walk is
-// cheap (no IPC simulation) and deterministic; both the local sweep and
-// the sharded assembly start from it. IPC/Perf maps come back empty.
+// cheap (no IPC simulation) and deterministic; the core-depth grid runs
+// it once per sweep. IPC/Perf maps come back empty.
 func depthSkeleton(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
 	const fe, be = 1, 3
 	blocks, err := coreBlocks(ctx, t, fe, be, wire)
@@ -144,9 +161,8 @@ func depthSkeleton(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bo
 	return pts, nil
 }
 
-// depthPairEval simulates one (depth, benchmark) pair of the Figure 11
-// grid — the expensive unit both the local sweep and the shard worker
-// evaluate.
+// depthPairEval simulates one (depth, benchmark) point of the Figure 11
+// grid.
 func depthPairEval(ctx context.Context, t *Tech, wire bool, pt DepthPoint, bench string) (uarch.Stats, error) {
 	const fe, be = 1, 3
 	ctx, sp := obs.Start(ctx, "depth-point",
@@ -159,8 +175,7 @@ func depthPairEval(ctx context.Context, t *Tech, wire bool, pt DepthPoint, bench
 	return BenchIPCCtx(ctx, bench, uarchConfig(fe, be, pt.Cuts))
 }
 
-// depthPairKey names the (depth, benchmark) checkpoint record; local
-// and sharded sweeps share it, so journals replay across both styles.
+// depthPairKey names the (depth, benchmark) checkpoint record.
 func depthPairKey(t *Tech, wire bool, depth int, bench string) string {
 	return checkpoint.PointID("depth", t.Name, wireTag(wire),
 		"d"+strconv.Itoa(depth), bench)

@@ -11,12 +11,16 @@
 // the per-figure registry that cmd/replicate walks, and RunExperiments
 // executes a slice of it concurrently.
 //
-// Concurrency and caching contract: every sweep has a Ctx variant that
-// fans its independent design points out over the bounded worker pool
-// in internal/runner and honors context cancellation; the plain
-// variants wrap context.Background(). Results are ordered by design
-// point, never by completion, so parallel sweeps are bit-identical to
-// the serial loops they replaced. Heavy intermediates (characterized
+// Each of the three design-space sweeps is one Grid (point count,
+// per-point checkpoint key, evaluator) and one entry point taking an
+// Evaluator: nil fans the independent design points out over the
+// bounded worker pool in internal/runner, honoring context
+// cancellation; the shard coordinator's Evaluate computes them on
+// peers instead. Results are ordered by design point, never by
+// completion, so either way a sweep is bit-identical to the serial
+// loop it replaced.
+//
+// Concurrency and caching contract: heavy intermediates (characterized
 // technologies, analyzed stage and ALU netlists, per-configuration
 // benchmark IPC) are memoized process-wide in per-key singleflight
 // caches (runner.Memo): concurrent callers of the same design point

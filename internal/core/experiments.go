@@ -303,7 +303,7 @@ func runFig9(_ context.Context) ([]*Table, error) {
 func runFig12(ctx context.Context) ([]*Table, error) {
 	var tables []*Table
 	for _, tech := range BothTechs() {
-		pts, err := ALUDepthSweepCtx(ctx, tech, 30, true)
+		pts, err := ALUDepthSweep(ctx, tech, 30, true, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +336,7 @@ func runFig12(ctx context.Context) ([]*Table, error) {
 func runFig11(ctx context.Context) ([]*Table, error) {
 	var tables []*Table
 	for _, tech := range BothTechs() {
-		pts, err := CoreDepthSweepCtx(ctx, tech, 9, 15, true)
+		pts, err := CoreDepthSweep(ctx, tech, 9, 15, true, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -369,7 +369,7 @@ func runFig11(ctx context.Context) ([]*Table, error) {
 }
 
 func widthTable(ctx context.Context, tech *Tech, area bool) (*Table, error) {
-	pts, err := WidthSweepCtx(ctx, tech)
+	pts, err := WidthSweep(ctx, tech, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +436,7 @@ func runFig15(ctx context.Context) ([]*Table, error) {
 	var series [][]float64
 	for _, tech := range BothTechs() {
 		for _, wire := range []bool{true, false} {
-			pts, err := ALUDepthSweepCtx(ctx, tech, 30, wire)
+			pts, err := ALUDepthSweep(ctx, tech, 30, wire, 0, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -464,7 +464,7 @@ func runFig15(ctx context.Context) ([]*Table, error) {
 	var coreSeries [][]float64
 	for _, tech := range BothTechs() {
 		for _, wire := range []bool{true, false} {
-			pts, err := CoreDepthSweepCtx(ctx, tech, 9, 15, wire)
+			pts, err := CoreDepthSweep(ctx, tech, 9, 15, wire, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -583,7 +583,7 @@ func runAbsFreq(ctx context.Context) ([]*Table, error) {
 			"optimized' appears to be a typo (optimized must exceed baseline).",
 	}
 	for _, tech := range BothTechs() {
-		pts, err := CoreDepthSweepCtx(ctx, tech, 9, 15, true)
+		pts, err := CoreDepthSweep(ctx, tech, 9, 15, true, nil)
 		if err != nil {
 			return nil, err
 		}

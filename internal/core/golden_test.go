@@ -1,7 +1,7 @@
 // Golden-conformance suite: committed renderings of the cheap
 // experiments (testdata/golden/*.tbl) pin the exact bytes every
 // execution style must produce, and the style matrix proves the
-// serial reference evaluator, the parallel sweeps, the batched kernel
+// serial reference evaluator, the in-process pool, the batched kernel
 // (EvalPointsBatch), the shard-merged coordinator, and a
 // checkpoint-resumed run agree byte for byte. The suite is the safety
 // net under hot-path kernel changes: an optimization that perturbs
@@ -26,6 +26,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/runner"
 	"repro/internal/shard"
 )
@@ -103,46 +104,40 @@ func (p execPeer) Exec(ctx context.Context, req *shard.Request) (*shard.Result, 
 	return shard.Exec(ctx, req)
 }
 
-// styleGrid is one conformance subject: a grid plus the high-level
-// sweep assemblies whose outputs must agree across evaluators.
+// styleGrid is one conformance subject: a grid plus its sweep entry,
+// whose output must agree across evaluators.
 type styleGrid struct {
 	kind                          string
 	maxStages, minDepth, maxDepth int
-	// sweep runs the ordinary parallel sweep (the production local
-	// path) and returns its result in wire-neutral JSON.
-	sweep func(ctx context.Context, tech *core.Tech) (any, error)
-	// sharded runs the sharded assembly through eval.
-	sharded func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error)
+	// run calls the kind's sweep entry over eval (nil = in process).
+	run func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error)
 }
 
 var styleGrids = []styleGrid{
 	{
 		kind: core.GridALUDepth, maxStages: 30,
-		sweep: func(ctx context.Context, tech *core.Tech) (any, error) {
-			return core.ALUDepthSweepCtx(ctx, tech, 30, true)
-		},
-		sharded: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.ALUDepthSharded(ctx, tech, 30, eval)
+		run: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.ALUDepthSweep(ctx, tech, 30, true, 0, eval)
 		},
 	},
 	{
 		kind: core.GridWidth,
-		sweep: func(ctx context.Context, tech *core.Tech) (any, error) {
-			return core.WidthSweepCtx(ctx, tech)
-		},
-		sharded: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.WidthSharded(ctx, tech, eval)
+		run: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.WidthSweep(ctx, tech, eval)
 		},
 	},
 	{
 		kind: core.GridCoreDepth, minDepth: 9, maxDepth: 11,
-		sweep: func(ctx context.Context, tech *core.Tech) (any, error) {
-			return core.CoreDepthSweepCtx(ctx, tech, 9, 11, true)
-		},
-		sharded: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.CoreDepthSharded(ctx, tech, 9, 11, eval)
+		run: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
+			return core.CoreDepthSweep(ctx, tech, 9, 11, true, eval)
 		},
 	},
+}
+
+// twoWorkers is a coordinator over two in-process exec peers, with
+// leases small enough that every grid spans several of them.
+func twoWorkers() *shard.Coordinator {
+	return shard.New(shard.Options{Batch: 5, HedgeAfter: -1}, execPeer{"w1"}, execPeer{"w2"})
 }
 
 // mustJSON is the byte-for-byte witness: two results that marshal to
@@ -160,8 +155,8 @@ func mustJSON(t *testing.T, v any) []byte {
 // TestGoldenExecutionStyles is the conformance matrix: for each sweep
 // grid, the serial reference evaluator, the batched kernel, and the
 // shard-merged coordinator must return identical point sets, and the
-// parallel local sweep must assemble to the same bytes as the sharded
-// assemblies over each of them.
+// sweep entry must assemble the same bytes in process (nil evaluator)
+// as over each of them.
 func TestGoldenExecutionStyles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
@@ -188,8 +183,7 @@ func TestGoldenExecutionStyles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coord := shard.New(shard.Options{Batch: 5, HedgeAfter: -1},
-				execPeer{"w1"}, execPeer{"w2"})
+			coord := twoWorkers()
 			merged, err := coord.Evaluate(ctx, g, indices)
 			if err != nil {
 				t.Fatal(err)
@@ -201,9 +195,9 @@ func TestGoldenExecutionStyles(t *testing.T) {
 				t.Errorf("shard-merged evaluation diverged from serial reference")
 			}
 
-			// Assembly level: the parallel local sweep and the sharded
-			// assemblies over each evaluator marshal to the same bytes.
-			local, err := sg.sweep(ctx, tech)
+			// Assembly level: the in-process sweep and the sweep over
+			// each evaluator marshal to the same bytes.
+			local, err := sg.run(ctx, tech, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,13 +210,49 @@ func TestGoldenExecutionStyles(t *testing.T) {
 				{"batched", core.EvalPointsBatch},
 				{"sharded", coord.Evaluate},
 			} {
-				got, err := sg.sharded(ctx, tech, style.eval)
+				got, err := sg.run(ctx, tech, style.eval)
 				if err != nil {
 					t.Fatalf("%s assembly: %v", style.name, err)
 				}
 				if !bytes.Equal(mustJSON(t, got), want) {
-					t.Errorf("%s assembly bytes diverged from the parallel local sweep", style.name)
+					t.Errorf("%s assembly bytes diverged from the in-process sweep", style.name)
 				}
+			}
+		})
+	}
+}
+
+// TestGoldenPartialResultsStyles drives the partial-results posture
+// through the coordinator: under the same seeded fault injection, each
+// sweep kind annotates the same failed points with the same labels
+// whether it evaluates in process or over two shard workers.
+func TestGoldenPartialResultsStyles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("design-space sweeps are expensive")
+	}
+	tech := core.SiliconTech()
+	spec, err := fault.Parse("seed=13,rate=0.3,kinds=error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := config.WithContext(context.Background(), config.Config{Workers: 4, PartialResults: true})
+	ctx = fault.WithInjector(ctx, fault.New(spec))
+	for _, sg := range styleGrids {
+		t.Run(sg.kind, func(t *testing.T) {
+			local, err := sg.run(ctx, tech, nil)
+			if err != nil {
+				t.Fatalf("in-process partial sweep aborted: %v", err)
+			}
+			want := mustJSON(t, local)
+			if !bytes.Contains(want, []byte(fault.ErrInjected.Error())) {
+				t.Fatal("rate=0.3 annotated no point")
+			}
+			sharded, err := sg.run(ctx, tech, twoWorkers().Evaluate)
+			if err != nil {
+				t.Fatalf("sharded partial sweep aborted: %v", err)
+			}
+			if got := mustJSON(t, sharded); !bytes.Equal(got, want) {
+				t.Errorf("sharded partial sweep diverged from the in-process one\n got %s\nwant %s", got, want)
 			}
 		})
 	}
@@ -237,7 +267,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	}
 	tech := core.SiliconTech()
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
-	cold, err := core.ALUDepthSweepCtx(base, tech, 12, true)
+	cold, err := core.ALUDepthSweep(base, tech, 12, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +278,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := core.ALUDepthSweepCtx(runner.WithCheckpoint(base, jnl), tech, 12, true)
+	first, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl), tech, 12, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +292,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if rec.Records != 12 {
 		t.Fatalf("recovered %d journal records, want 12", rec.Records)
 	}
-	resumed, err := core.ALUDepthSweepCtx(runner.WithCheckpoint(base, jnl2), tech, 12, true)
+	resumed, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl2), tech, 12, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

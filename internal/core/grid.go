@@ -4,13 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/config"
-	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/runner"
-	"repro/internal/uarch"
 )
 
 // Grid kinds, matching both the /v1/sweeps/{kind} URL segment and the
@@ -38,95 +34,68 @@ func TechByName(name string) (*Tech, error) {
 
 // Grid is one design-space sweep viewed as a flat point lattice: N
 // points, each with a stable checkpoint key (Key) and an evaluator
-// (Eval) returning the point's JSON-clean value. The enumeration order
-// and keys are the single source of truth shared by the local sweeps,
-// the shard worker (which evaluates index subsets), and the coordinator
-// (which merges them back) — that sharing is what makes a sharded sweep
-// byte-identical to a local one.
+// (Eval). The enumeration order and keys are the single source of
+// truth shared by the in-process pass, the shard worker (which
+// evaluates index subsets), and the coordinator (which merges them
+// back) — that sharing is what makes a sharded sweep byte-identical to
+// a local one.
 type Grid struct {
 	Kind string
 	// Tech is the technology's wire name.
 	Tech string
+	// Wire is the wire-delay mode and FeedbackK the ALU feedback-wire
+	// constant (0 = the pipeline default). The shard protocol carries
+	// neither: SweepGrid builds Wire = true, FeedbackK = 0 grids, the
+	// only ones a coordinator can lease.
+	Wire      bool
+	FeedbackK float64
 	// Bounds, normalized; only the ones the kind reads are meaningful.
 	MaxStages          int
 	MinDepth, MaxDepth int
 	// N is the point count; valid indices are 0..N-1.
 	N int
-	// Key names point i for checkpointing — identical to the key the
-	// local sweep would use, so worker-side journals replay across the
-	// two execution styles.
+	// Key names point i for checkpointing; in-process and worker-side
+	// evaluations share it, so journals replay across execution styles.
 	Key func(i int) string
-	// Eval computes point i. The concrete value type depends on Kind
-	// (pipeline.Point, uarch.Stats, or WidthPoint); it marshals to the
-	// same JSON either way.
+	// Eval computes point i under the context's checkpoint (a journaled
+	// key replays without computing). The concrete value type depends
+	// on Kind (pipeline.Point, uarch.Stats, or WidthPoint).
 	Eval func(ctx context.Context, i int) (any, error)
+	// skeleton is a core-depth grid's serial cut-placement walk, run
+	// once and shared by Eval and the sweep assembly.
+	skeleton func(ctx context.Context) ([]DepthPoint, error)
 }
 
-// SweepGrid builds the point lattice for one sweep kind over t.
-// Bounds of kinds that do not read them are ignored. Building a grid is
-// cheap — expensive prep (netlist analysis, the serial cut-placement
-// walk) is deferred into the first Eval call, so a coordinator that
-// only needs keys never pays it.
+// SweepGrid builds the point lattice for one sweep kind over t, with
+// wire delay on and the default ALU feedback constant — the grids the
+// shard protocol names. Bounds of kinds that do not read them are
+// ignored. Building a grid is cheap — expensive prep (netlist analysis,
+// the serial cut-placement walk) is deferred into the first Eval call,
+// so a coordinator that only needs keys never pays it.
 func SweepGrid(ctx context.Context, kind string, t *Tech, maxStages, minDepth, maxDepth int) (*Grid, error) {
 	switch kind {
 	case GridALUDepth:
-		if maxStages <= 0 {
-			return nil, fmt.Errorf("alu-depth grid: max_stages %d out of range", maxStages)
-		}
-		key, point := aluParts(t, true, 0)
-		return &Grid{
-			Kind: kind, Tech: t.Name, MaxStages: maxStages, N: maxStages,
-			Key:  key,
-			Eval: func(ctx context.Context, i int) (any, error) { return point(ctx, i) },
-		}, nil
+		return aluGrid(t, maxStages, true, 0)
 	case GridCoreDepth:
-		if maxDepth < minDepth || minDepth <= 0 {
-			return nil, fmt.Errorf("core-depth grid: depth bounds [%d, %d] out of range", minDepth, maxDepth)
-		}
-		benches := Benchmarks()
-		first := depthFirst(minDepth)
-		n := (maxDepth - first + 1) * len(benches)
-		if n < 0 {
-			n = 0
-		}
-		// The expensive serial cut-placement walk runs once, on first
-		// evaluation; keys need only arithmetic.
-		var (
-			once sync.Once
-			pts  []DepthPoint
-			err  error
-		)
-		skeleton := func(ctx context.Context) ([]DepthPoint, error) {
-			once.Do(func() { pts, err = depthSkeleton(ctx, t, minDepth, maxDepth, true) })
-			return pts, err
-		}
-		return &Grid{
-			Kind: kind, Tech: t.Name, MinDepth: minDepth, MaxDepth: maxDepth, N: n,
-			Key: func(i int) string {
-				return depthPairKey(t, true, first+i/len(benches), benches[i%len(benches)])
-			},
-			Eval: func(ctx context.Context, i int) (any, error) {
-				pts, err := skeleton(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return depthPairEval(ctx, t, true, pts[i/len(benches)], benches[i%len(benches)])
-			},
-		}, nil
+		return depthGrid(t, minDepth, maxDepth, true)
 	case GridWidth:
-		key, point := widthParts(t)
-		return &Grid{
-			Kind: kind, Tech: t.Name, N: widthN,
-			Key:  key,
-			Eval: func(ctx context.Context, i int) (any, error) { return point(ctx, i) },
-		}, nil
+		return widthGrid(t), nil
 	}
 	return nil, fmt.Errorf("unknown sweep kind %q", kind)
 }
 
-// PointValue is one evaluated grid point in wire-neutral form: the
-// point's JSON value, or its error annotation under a partial-results
-// sweep.
+// checkpointed adapts a kind's typed point function to Grid.Eval: each
+// point runs under runner.Checkpointed with its own key and the kind's
+// concrete type, so a journal replay decodes into T (replaying through
+// `any` would decode into a map and re-encode differently).
+func checkpointed[T any](key func(int) string, point func(context.Context, int) (T, error)) func(context.Context, int) (any, error) {
+	return func(ctx context.Context, i int) (any, error) {
+		return runner.Checkpointed(ctx, key(i), func(ctx context.Context) (T, error) { return point(ctx, i) })
+	}
+}
+
+// PointValue is one evaluated grid point in wire form: the point's
+// JSON value, or its error annotation under a partial-results sweep.
 type PointValue struct {
 	Index int
 	Value json.RawMessage
@@ -134,11 +103,74 @@ type PointValue struct {
 	Err string
 }
 
-// Evaluator evaluates a set of grid indices — locally, or fanned out
-// across worker peers — returning one PointValue per index, any order.
-// The shard coordinator's Evaluate method is one; EvalLocal is the
-// degenerate in-process one the tests use.
+// Evaluator evaluates a set of grid indices outside the in-process
+// pass — fanned out across worker peers — returning one PointValue per
+// index, any order. The shard coordinator's Evaluate method is one;
+// the sweep entry points take nil to mean "evaluate in this process".
 type Evaluator func(ctx context.Context, g *Grid, indices []int) ([]PointValue, error)
+
+// evalInProcess runs the given grid indices on the worker pool — the
+// one place a sweep uses the pool. Each point keeps its own checkpoint
+// key, fault-injection site, span, and retry budget. It returns the
+// typed values in indices order; under config.PartialResults a failed
+// point leaves a nil value and its error label in errs (same length,
+// "" = computed) instead of failing the pass.
+func evalInProcess(ctx context.Context, g *Grid, indices []int) (vals []any, errs []string, err error) {
+	point := func(ctx context.Context, k int) (any, error) { return g.Eval(ctx, indices[k]) }
+	errs = make([]string, len(indices))
+	if !config.Get(ctx).PartialResults {
+		vals, err = runner.Map(ctx, len(indices), point)
+		return vals, errs, err
+	}
+	vals, failed, err := runner.MapPartial(ctx, len(indices), point)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, te := range failed {
+		errs[te.Index] = runner.ErrLabel(te.Err)
+	}
+	return vals, errs, nil
+}
+
+// evaluate computes every point of g — in this process when eval is
+// nil, else through eval — and returns the typed points in index order
+// with the per-point error labels of a partial-results sweep ("" for a
+// computed point). A failed point outside the partial posture fails
+// the sweep.
+func evaluate[T any](ctx context.Context, g *Grid, eval Evaluator) ([]T, []string, error) {
+	pts := make([]T, g.N)
+	if eval == nil {
+		vals, errs, err := evalInProcess(ctx, g, allIndices(g.N))
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, v := range vals {
+			if errs[i] == "" {
+				pts[i] = v.(T)
+			}
+		}
+		return pts, errs, nil
+	}
+	vals, err := gather(ctx, g, eval)
+	if err != nil {
+		return nil, nil, err
+	}
+	partial := config.Get(ctx).PartialResults
+	errs := make([]string, g.N)
+	for _, v := range vals {
+		if v.Err != "" {
+			if !partial {
+				return nil, nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
+			}
+			errs[v.Index] = v.Err
+			continue
+		}
+		if err := json.Unmarshal(v.Value, &pts[v.Index]); err != nil {
+			return nil, nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
+		}
+	}
+	return pts, errs, nil
+}
 
 // allIndices is 0..n-1.
 func allIndices(n int) []int {
@@ -177,159 +209,35 @@ func gather(ctx context.Context, g *Grid, eval Evaluator) ([]PointValue, error) 
 	return vals, nil
 }
 
-// ALUDepthSharded reproduces Figure 12 through an external evaluator:
-// the grid's points are computed by eval (the shard coordinator fans
-// them out to worker peers) and merged back in index order, so the
-// result is byte-identical to ALUDepthSweepCtx under the same knobs.
-func ALUDepthSharded(ctx context.Context, t *Tech, maxStages int, eval Evaluator) ([]pipeline.Point, error) {
-	ctx, sp := obs.Start(ctx, "sweep:aludepth", obs.KV("tech", t.Name),
-		obs.Int("max_stages", maxStages), obs.Bool("sharded", true))
-	defer sp.End()
-	g, err := SweepGrid(ctx, GridALUDepth, t, maxStages, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := gather(ctx, g, eval)
-	if err != nil {
-		return nil, err
-	}
-	partial := config.Get(ctx).PartialResults
-	pts := make([]pipeline.Point, g.N)
-	for _, v := range vals {
-		if v.Err != "" {
-			if !partial {
-				return nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
-			}
-			pts[v.Index] = pipeline.Point{Stages: v.Index + 1, Err: v.Err}
-			continue
-		}
-		if err := json.Unmarshal(v.Value, &pts[v.Index]); err != nil {
-			return nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
-		}
-	}
-	return pts, nil
-}
-
-// CoreDepthSharded reproduces Figure 11 through an external evaluator.
-// The cheap serial cut-placement walk still runs locally (the depth
-// skeleton fixes Freq/Area/Cuts); only the expensive depth x benchmark
-// IPC simulations come from eval.
-func CoreDepthSharded(ctx context.Context, t *Tech, minDepth, maxDepth int, eval Evaluator) ([]DepthPoint, error) {
-	ctx, sp := obs.Start(ctx, "sweep:coredepth", obs.KV("tech", t.Name),
-		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth), obs.Bool("sharded", true))
-	defer sp.End()
-	g, err := SweepGrid(ctx, GridCoreDepth, t, 0, minDepth, maxDepth)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := depthSkeleton(ctx, t, minDepth, maxDepth, true)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := gather(ctx, g, eval)
-	if err != nil {
-		return nil, err
-	}
-	partial := config.Get(ctx).PartialResults
-	benches := Benchmarks()
-	for _, v := range vals {
-		pt, b := &pts[v.Index/len(benches)], benches[v.Index%len(benches)]
-		if v.Err != "" {
-			if !partial {
-				return nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
-			}
-			if pt.Errors == nil {
-				pt.Errors = map[string]string{}
-			}
-			pt.Errors[b] = v.Err
-			continue
-		}
-		var st uarch.Stats
-		if err := json.Unmarshal(v.Value, &st); err != nil {
-			return nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
-		}
-		pt.IPC[b] = st.IPC
-		pt.Perf[b] = st.IPC * pt.Freq
-	}
-	return pts, nil
-}
-
-// WidthSharded reproduces Figures 13-14 through an external evaluator.
-func WidthSharded(ctx context.Context, t *Tech, eval Evaluator) ([]WidthPoint, error) {
-	ctx, sp := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name), obs.Bool("sharded", true))
-	defer sp.End()
-	g, err := SweepGrid(ctx, GridWidth, t, 0, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := gather(ctx, g, eval)
-	if err != nil {
-		return nil, err
-	}
-	partial := config.Get(ctx).PartialResults
-	pts := make([]WidthPoint, g.N)
-	for _, v := range vals {
-		if v.Err != "" {
-			if !partial {
-				return nil, fmt.Errorf("point %s: %s", g.Key(v.Index), v.Err)
-			}
-			fe, be := widthAt(v.Index)
-			pts[v.Index] = WidthPoint{Front: fe, Back: be, Err: v.Err}
-			continue
-		}
-		if err := json.Unmarshal(v.Value, &pts[v.Index]); err != nil {
-			return nil, fmt.Errorf("point %s: decoding value: %w", g.Key(v.Index), err)
-		}
-	}
-	return pts, nil
-}
-
-// EvalPointsBatch evaluates a contiguous lease of grid indices on the
-// worker pool in chunked batches — the batched kernel entry point shared
-// by the shard worker (Exec) and the sharded sweep assemblies. Each
-// point keeps its own checkpoint key, fault-injection site, span, and
-// retry budget (chunking changes only which worker runs which index),
-// and the partial-results posture annotates failed points exactly the
-// way EvalLocal does — so the merged output is byte-identical to a
-// serial evaluation. It is itself an Evaluator.
+// EvalPointsBatch evaluates a lease of grid indices in this process and
+// encodes each point for the wire — the shard worker's (Exec) entry
+// point. It is the in-process pass followed by one json.Marshal per
+// point, so a merged sharded sweep is byte-identical to a local one.
+// It is itself an Evaluator.
 func EvalPointsBatch(ctx context.Context, g *Grid, indices []int) ([]PointValue, error) {
-	key := func(i int) string { return g.Key(indices[i]) }
-	point := func(ctx context.Context, i int) (json.RawMessage, error) {
-		v, err := g.Eval(ctx, indices[i])
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(v)
-	}
-	chunk := runner.Chunk(ctx, len(indices))
-	out := make([]PointValue, len(indices))
-	if !config.Get(ctx).PartialResults {
-		vals, err := runner.MapKeyedChunked(ctx, len(indices), chunk, key, point)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range vals {
-			out[i] = PointValue{Index: indices[i], Value: v}
-		}
-		return out, nil
-	}
-	vals, errs, err := runner.MapPartialKeyedChunked(ctx, len(indices), chunk, key, point)
+	vals, errs, err := evalInProcess(ctx, g, indices)
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range vals {
-		out[i] = PointValue{Index: indices[i], Value: v}
-	}
-	for _, te := range errs {
-		out[te.Index] = PointValue{Index: indices[te.Index], Err: runner.ErrLabel(te.Err)}
+	out := make([]PointValue, len(indices))
+	for k, i := range indices {
+		if errs[k] != "" {
+			out[k] = PointValue{Index: i, Err: errs[k]}
+			continue
+		}
+		b, err := json.Marshal(vals[k])
+		if err != nil {
+			return nil, fmt.Errorf("point %s: encoding value: %w", g.Key(i), err)
+		}
+		out[k] = PointValue{Index: i, Value: b}
 	}
 	return out, nil
 }
 
 // EvalLocal evaluates grid indices in the calling process, one by one,
 // honoring the context's partial-results posture the way a shard worker
-// does. It is the reference Evaluator the determinism tests compare
-// coordinators against.
+// does. It is the serial reference Evaluator the determinism tests
+// compare the pool and the coordinator against.
 func EvalLocal(ctx context.Context, g *Grid, indices []int) ([]PointValue, error) {
 	partial := config.Get(ctx).PartialResults
 	out := make([]PointValue, 0, len(indices))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/pipeline"
 )
 
@@ -46,7 +47,7 @@ func TestWidthSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := WidthSweep(tech)
+	got, err := WidthSweep(context.Background(), tech, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +66,17 @@ func TestDepthSweepDeterministic(t *testing.T) {
 		t.Skip("design-space sweeps are expensive")
 	}
 	tech := SiliconTech()
-	a, err := CoreDepthSweep(tech, 9, 12, true)
+	a, err := CoreDepthSweep(context.Background(), tech, 9, 12, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CoreDepthSweepCtx(context.Background(), tech, 9, 12, true)
+	serial := config.WithContext(context.Background(), config.Config{Workers: 1})
+	b, err := CoreDepthSweep(serial, tech, 9, 12, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("repeated depth sweeps differ:\n%+v\n%+v", a, b)
+		t.Errorf("pooled and one-worker depth sweeps differ:\n%+v\n%+v", a, b)
 	}
 	for i, p := range a {
 		if p.Depth != 9+i || len(p.IPC) != len(Benchmarks()) {
@@ -91,14 +93,14 @@ func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := WidthSweepCtx(ctx, tech); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WidthSweepCtx err = %v, want context.Canceled", err)
+	if _, err := WidthSweep(ctx, tech, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("WidthSweep err = %v, want context.Canceled", err)
 	}
-	if _, err := CoreDepthSweepCtx(ctx, tech, 9, 15, true); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CoreDepthSweepCtx err = %v, want context.Canceled", err)
+	if _, err := CoreDepthSweep(ctx, tech, 9, 15, true, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CoreDepthSweep err = %v, want context.Canceled", err)
 	}
-	if _, err := ALUDepthSweepCtx(ctx, tech, 30, true); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ALUDepthSweepCtx err = %v, want context.Canceled", err)
+	if _, err := ALUDepthSweep(ctx, tech, 30, true, 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ALUDepthSweep err = %v, want context.Canceled", err)
 	}
 	if _, err := RunExperiments(ctx, Experiments()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunExperiments err = %v, want context.Canceled", err)

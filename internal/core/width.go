@@ -6,11 +6,9 @@ import (
 	"strconv"
 
 	"repro/internal/checkpoint"
-	"repro/internal/config"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runner"
 )
 
 // Width ranges of the Figures 13-14 experiment.
@@ -37,43 +35,31 @@ type WidthPoint struct {
 // WidthSweep synthesizes the thirty width configurations of the paper
 // (front-end width 1-6 x back-end pipes 3-7) at the 9-stage baseline
 // depth and reports period, area, and benchmark-averaged performance.
-func WidthSweep(t *Tech) ([]WidthPoint, error) {
-	return WidthSweepCtx(context.Background(), t)
-}
-
-// WidthSweepCtx is WidthSweep with cancellation. Every (front, back)
-// configuration is independent, so the whole FE x BE grid fans out over
-// the worker pool; shared stage analyses and benchmark simulations are
-// deduplicated by the per-key memo caches, and results come back in the
-// serial sweep's (back-major) order.
-func WidthSweepCtx(ctx context.Context, t *Tech) ([]WidthPoint, error) {
-	ctx, sweepSpan := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name))
+// Every (front, back) configuration is independent: with eval nil the
+// whole grid fans out over the worker pool (shared stage analyses and
+// benchmark simulations are deduplicated by the per-key memo caches),
+// otherwise eval (the shard coordinator) computes it. Results come back
+// in the serial sweep's (back-major) order.
+func WidthSweep(ctx context.Context, t *Tech, eval Evaluator) ([]WidthPoint, error) {
+	ctx, sweepSpan := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name), obs.Bool("sharded", eval != nil))
 	defer sweepSpan.End()
-	key, point := widthParts(t)
-	chunk := runner.Chunk(ctx, widthN)
-	if !config.Get(ctx).PartialResults {
-		return runner.MapKeyedChunked(ctx, widthN, chunk, key, point)
-	}
-	pts, errs, err := runner.MapPartialKeyedChunked(ctx, widthN, chunk, key, point)
+	pts, errs, err := evaluate[WidthPoint](ctx, widthGrid(t), eval)
 	if err != nil {
 		return nil, err
 	}
-	for _, te := range errs {
-		fe, be := widthAt(te.Index)
-		pts[te.Index] = WidthPoint{
-			Front: fe,
-			Back:  be,
-			Err:   runner.ErrLabel(te.Err),
+	for i, e := range errs {
+		if e != "" {
+			fe, be := widthAt(i)
+			pts[i] = WidthPoint{Front: fe, Back: be, Err: e}
 		}
 	}
 	return pts, nil
 }
 
-// widthParts returns the Figures 13-14 lattice parts shared by the
-// local sweep and the shard grid: one checkpoint record and one typed
-// evaluation per (front, back) configuration, enumerated in the serial
+// widthGrid is the Figures 13-14 lattice: one point (and one checkpoint
+// record) per (front, back) configuration, enumerated in the serial
 // sweep's back-major order.
-func widthParts(t *Tech) (runner.KeyFunc, func(context.Context, int) (WidthPoint, error)) {
+func widthGrid(t *Tech) *Grid {
 	point := func(ctx context.Context, i int) (WidthPoint, error) {
 		fe, be := widthAt(i)
 		ctx, sp := obs.Start(ctx, "width-point", obs.Int("fe", fe), obs.Int("be", be))
@@ -105,7 +91,10 @@ func widthParts(t *Tech) (runner.KeyFunc, func(context.Context, int) (WidthPoint
 		return checkpoint.PointID("width", t.Name,
 			"fe"+strconv.Itoa(fe), "be"+strconv.Itoa(be))
 	}
-	return key, point
+	return &Grid{
+		Kind: GridWidth, Tech: t.Name, Wire: true, N: widthN,
+		Key: key, Eval: checkpointed(key, point),
+	}
 }
 
 // Matrix arranges a width sweep into the paper's M[back][front] layout,

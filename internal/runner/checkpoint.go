@@ -8,8 +8,8 @@ import (
 	"repro/internal/runner/metrics"
 )
 
-// Checkpoint is the completion sink + seed the pool consults when a
-// task carries a key: Lookup replays an already-journaled result
+// Checkpoint is the completion sink + seed Checkpointed consults for a
+// keyed task: Lookup replays an already-journaled result
 // bit-identically (the task body — and any fault injection inside it —
 // never runs), Commit persists a freshly computed one. The canonical
 // implementation is internal/checkpoint's crash-safe Journal; tests
@@ -25,10 +25,10 @@ type Checkpoint interface {
 // cpKey carries a Checkpoint through a context.
 type cpKey struct{}
 
-// WithCheckpoint returns a context under which keyed runner calls (and
-// Checkpointed) replay from and commit to cp. biodeg.Session attaches
-// its journal here; the daemon's job store attaches per-job journals,
-// which take precedence because the session only fills an empty slot.
+// WithCheckpoint returns a context under which Checkpointed replays
+// from and commits to cp. biodeg.Session attaches its journal here; the
+// daemon's job store attaches per-job journals, which take precedence
+// because the session only fills an empty slot.
 func WithCheckpoint(ctx context.Context, cp Checkpoint) context.Context {
 	return context.WithValue(ctx, cpKey{}, cp)
 }
@@ -75,45 +75,4 @@ func Checkpointed[T any](ctx context.Context, key string, compute func(ctx conte
 		return v, err
 	}
 	return v, nil
-}
-
-// KeyFunc names task i for checkpointing; returning "" opts the task
-// out (it always computes and never commits).
-type KeyFunc func(i int) string
-
-// MapKeyed is Map with per-task checkpoint keys: task i first consults
-// the context's Checkpoint under key(i) (see Checkpointed). With no
-// Checkpoint attached it is exactly Map.
-func MapKeyed[T any](ctx context.Context, n int, key KeyFunc, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return Map(ctx, n, keyed(key, fn))
-}
-
-// MapPartialKeyed is MapPartial with per-task checkpoint keys.
-func MapPartialKeyed[T any](ctx context.Context, n int, key KeyFunc, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
-	return MapPartial(ctx, n, keyed(key, fn))
-}
-
-// MapKeyedChunked is MapKeyed with MapChunked's scheduling batch size:
-// contiguous chunks of tasks share a worker, each task still consulting
-// the checkpoint under its own key.
-func MapKeyedChunked[T any](ctx context.Context, n, chunk int, key KeyFunc, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapChunked(ctx, n, chunk, keyed(key, fn))
-}
-
-// MapPartialKeyedChunked is MapPartialKeyed with MapChunked's
-// scheduling batch size.
-func MapPartialKeyedChunked[T any](ctx context.Context, n, chunk int, key KeyFunc, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
-	return MapPartialChunked(ctx, n, chunk, keyed(key, fn))
-}
-
-// keyed wraps a task function in the checkpoint consult/commit cycle.
-// The wrapper sits inside the pool's retry loop, so a retried task
-// re-checks the journal — harmless, and it means a commit that raced a
-// crash is found on the retry rather than recomputed.
-func keyed[T any](key KeyFunc, fn func(ctx context.Context, i int) (T, error)) func(ctx context.Context, i int) (T, error) {
-	return func(ctx context.Context, i int) (T, error) {
-		return Checkpointed(ctx, key(i), func(ctx context.Context) (T, error) {
-			return fn(ctx, i)
-		})
-	}
 }

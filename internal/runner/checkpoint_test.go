@@ -106,6 +106,14 @@ func TestCheckpointedNoSinkIsPlainCompute(t *testing.T) {
 	}
 }
 
+// keyed wraps task i in Checkpointed under key(i) — the way the sweep
+// grids key their points.
+func keyed[T any](key func(i int) string, fn func(ctx context.Context, i int) (T, error)) func(ctx context.Context, i int) (T, error) {
+	return func(ctx context.Context, i int) (T, error) {
+		return Checkpointed(ctx, key(i), func(ctx context.Context) (T, error) { return fn(ctx, i) })
+	}
+}
+
 func TestMapKeyedSkipsJournaledTasks(t *testing.T) {
 	cp := newFakeCheckpoint()
 	// Pre-journal the even indices; only the odd ones should compute.
@@ -114,11 +122,11 @@ func TestMapKeyedSkipsJournaledTasks(t *testing.T) {
 	}
 	ctx := WithCheckpoint(context.Background(), cp)
 	var computed atomic.Int64
-	out, err := MapKeyed(ctx, 10, func(i int) string { return "t/" + strconv.Itoa(i) },
+	out, err := Map(ctx, 10, keyed(func(i int) string { return "t/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			computed.Add(1)
 			return i * 100, nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +144,11 @@ func TestMapKeyedSkipsJournaledTasks(t *testing.T) {
 
 	// A full re-run replays everything: zero computes, identical output.
 	computed.Store(0)
-	out2, err := MapKeyed(ctx, 10, func(i int) string { return "t/" + strconv.Itoa(i) },
+	out2, err := Map(ctx, 10, keyed(func(i int) string { return "t/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			computed.Add(1)
 			return -1, errors.New("must not run")
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +166,13 @@ func TestMapPartialKeyedJournalsOnlySuccesses(t *testing.T) {
 	cp := newFakeCheckpoint()
 	ctx := WithCheckpoint(context.Background(), cp)
 	fail := errors.New("boom")
-	_, errs, err := MapPartialKeyed(ctx, 4, func(i int) string { return "p/" + strconv.Itoa(i) },
+	_, errs, err := MapPartial(ctx, 4, keyed(func(i int) string { return "p/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			if i == 2 {
 				return 0, fail
 			}
 			return i, nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +188,11 @@ func TestMapPartialKeyedJournalsOnlySuccesses(t *testing.T) {
 
 	// On resume the failed point computes, the successes replay.
 	var computed atomic.Int64
-	out, errs2, err := MapPartialKeyed(ctx, 4, func(i int) string { return "p/" + strconv.Itoa(i) },
+	out, errs2, err := MapPartial(ctx, 4, keyed(func(i int) string { return "p/" + strconv.Itoa(i) },
 		func(_ context.Context, i int) (int, error) {
 			computed.Add(1)
 			return i, nil
-		})
+		}))
 	if err != nil || len(errs2) != 0 {
 		t.Fatalf("resume: %v, errs %v", err, errs2)
 	}
@@ -196,18 +204,18 @@ func TestMapPartialKeyedJournalsOnlySuccesses(t *testing.T) {
 	}
 }
 
-// TestMapKeyedEmptyKeyOptsOut checks a KeyFunc returning "" leaves that
-// task unjournaled: it always computes, never commits.
+// TestMapKeyedEmptyKeyOptsOut checks an empty key leaves that task
+// unjournaled: it always computes, never commits.
 func TestMapKeyedEmptyKeyOptsOut(t *testing.T) {
 	cp := newFakeCheckpoint()
 	ctx := WithCheckpoint(context.Background(), cp)
 	for run := 0; run < 2; run++ {
 		var computed atomic.Int64
-		_, err := MapKeyed(ctx, 3, func(i int) string { return "" },
+		_, err := Map(ctx, 3, keyed(func(i int) string { return "" },
 			func(_ context.Context, i int) (int, error) {
 				computed.Add(1)
 				return i, nil
-			})
+			}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,15 +2,24 @@
 // design-space explorer. Every expensive fan-out in the repository —
 // cell characterization, per-stage static timing, the depth and width
 // sweeps, and the experiment registry itself — runs through the same
-// two primitives:
+// primitives:
 //
-//   - Map / ForEach: a bounded worker pool (sized by the
+//   - Map / MapPartial / ForEach: a bounded worker pool (sized by the
 //     configuration carried in the context — see internal/config —
 //     falling back to runtime.GOMAXPROCS) that executes
 //     n index-addressed tasks, returns results in index order
 //     regardless of completion order, captures the first error,
 //     cancels the remaining tasks through the context, and converts
 //     per-task panics into errors instead of crashing the process.
+//     MapPartial keeps going past failures and returns them per index
+//     (the partial-results posture); ForEach collects no results and
+//     dispatches one index at a time. Retries, per-attempt timeouts
+//     and runner.task spans apply to all three.
+//
+//   - Checkpointed: a task wrapper that replays a journaled result
+//     under the task's key instead of computing it, and commits fresh
+//     results (see Checkpoint). The sweep grids in internal/core wrap
+//     each point in it.
 //
 //   - Memo: a per-key singleflight cache. Concurrent callers asking
 //     for the same key share one computation (the others block until

@@ -128,44 +128,19 @@ func ErrLabel(err error) string {
 // converted to *PanicError) cancels the derived context; tasks not yet
 // started are skipped and Map returns that first error. A cancelled
 // parent context stops the pool promptly with ctx.Err().
+//
+// Workers claim contiguous runs of indices (see chunkSize) so dispatch
+// cost amortizes when n is much larger than the pool. Every per-index
+// behavior — retries, fault-injection attempts, spans, result order —
+// is unchanged by the batching; only which worker runs which index
+// differs.
 func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapChunked(ctx, n, 1, fn)
-}
-
-// MapChunked is Map with a scheduling batch size: workers claim
-// contiguous runs of `chunk` indices instead of one index at a time, so
-// per-task dispatch cost amortizes across a run. Every per-index
-// behavior — retries, checkpoint consults, fault-injection attempts,
-// spans, result order — is unchanged; only which worker runs which
-// index differs, so results are byte-identical to Map's. chunk <= 1
-// means no batching; Chunk picks a reasonable size.
-func MapChunked[T any](ctx context.Context, n, chunk int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	_, err := forEach(ctx, n, chunk, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	}, false)
+	_, err := forEach(ctx, n, chunkSize(ctx, n), collect(out, fn), false)
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Chunk returns the scheduling batch size MapChunked should use for n
-// tasks under the context's worker count: small enough that every
-// worker cycles through several chunks (load balance under uneven task
-// cost), large enough to amortize dispatch when n is much larger than
-// the pool.
-func Chunk(ctx context.Context, n int) int {
-	c := n / (4 * WorkersFor(ctx))
-	if c < 1 {
-		return 1
-	}
-	return c
 }
 
 // MapPartial is Map without fail-fast: every task runs to completion
@@ -175,33 +150,47 @@ func Chunk(ctx context.Context, n int) int {
 // return is non-nil only when the parent context was cancelled, in
 // which case both slices are incomplete.
 func MapPartial[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
-	return MapPartialChunked(ctx, n, 1, fn)
+	out := make([]T, n)
+	errs, err := forEach(ctx, n, chunkSize(ctx, n), collect(out, fn), true)
+	return out, errs, err
 }
 
-// MapPartialChunked is MapPartial with MapChunked's scheduling batch
-// size.
-func MapPartialChunked[T any](ctx context.Context, n, chunk int, fn func(ctx context.Context, i int) (T, error)) ([]T, []*TaskError, error) {
-	out := make([]T, n)
-	errs, err := forEach(ctx, n, chunk, func(ctx context.Context, i int) error {
+// collect adapts a result-returning task to forEach, storing each
+// success at its index in out.
+func collect[T any](out []T, fn func(ctx context.Context, i int) (T, error)) func(ctx context.Context, i int) error {
+	return func(ctx context.Context, i int) error {
 		v, err := fn(ctx, i)
 		if err != nil {
 			return err
 		}
 		out[i] = v
 		return nil
-	}, true)
-	return out, errs, err
+	}
 }
 
-// ForEach is Map without collected results: it runs fn(ctx, i) for
-// every i in [0, n) on the bounded pool and returns the first error.
+// chunkSize is the scheduling batch size Map and MapPartial use for n
+// tasks under the context's worker count: small enough that every
+// worker cycles through several chunks (load balance under uneven task
+// cost), large enough to amortize dispatch when n is much larger than
+// the pool. It is 1 whenever n < 8 x workers.
+func chunkSize(ctx context.Context, n int) int {
+	c := n / (4 * WorkersFor(ctx))
+	if c < 1 {
+		return 1
+	}
+	return c
+}
+
+// ForEach is Map without collected results and without batching: it
+// runs fn(ctx, i) for every i in [0, n) on the bounded pool, one index
+// per dispatch, and returns the first error.
 //
 // When span tracing is enabled (internal/obs), each task runs inside a
-// "runner.task" span parented to the span active in ctx at the ForEach
-// call. The span's duration is the execute time; its queue_wait_us
-// attribute is the time the task spent waiting between batch submission
-// and a worker picking it up, so a trace shows the queue-wait versus
-// execute split per task.
+// "runner.task" span parented to the span active in ctx at the call.
+// The span's duration is the execute time; its queue_wait_us attribute
+// is the time the task spent waiting between batch submission and a
+// worker picking it up, so a trace shows the queue-wait versus execute
+// split per task. Map and MapPartial trace the same way.
 //
 // Resilience is configured per call through the context-carried
 // config: with Retries > 0, a failed attempt (error or recovered
@@ -213,11 +202,6 @@ func MapPartialChunked[T any](ctx context.Context, n, chunk int, fn func(ctx con
 func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	_, err := forEach(ctx, n, 1, fn, false)
 	return err
-}
-
-// ForEachPartial is ForEach without fail-fast; see MapPartial.
-func ForEachPartial(ctx context.Context, n int, fn func(ctx context.Context, i int) error) ([]*TaskError, error) {
-	return forEach(ctx, n, 1, fn, true)
 }
 
 // forEach is the shared pool: partial selects collect-and-continue

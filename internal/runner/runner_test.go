@@ -257,10 +257,11 @@ func TestMapChunkedMatchesMap(t *testing.T) {
 	// the results: every index runs exactly once and lands at its slot.
 	for _, chunk := range []int{1, 3, 7, 16, 100, 1000} {
 		var ran atomic.Int64
-		out, err := MapChunked(context.Background(), 100, chunk, func(_ context.Context, i int) (int, error) {
+		out := make([]int, 100)
+		_, err := forEach(context.Background(), 100, chunk, collect(out, func(_ context.Context, i int) (int, error) {
 			ran.Add(1)
 			return i * i, nil
-		})
+		}), false)
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
@@ -280,13 +281,13 @@ func TestMapChunkedFailFast(t *testing.T) {
 	// claimed chunk rather than draining it.
 	sentinel := errors.New("boom")
 	var ran atomic.Int64
-	_, err := MapChunked(context.Background(), 1000, 50, func(ctx context.Context, i int) (int, error) {
+	_, err := forEach(context.Background(), 1000, 50, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 3 {
-			return 0, sentinel
+			return sentinel
 		}
-		return i, nil
-	})
+		return nil
+	}, false)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
@@ -299,12 +300,13 @@ func TestMapPartialChunkedCollectsErrors(t *testing.T) {
 	// Partial-results chunked sweeps annotate failures per index and
 	// still evaluate every other point.
 	sentinel := errors.New("bad point")
-	out, errs, err := MapPartialChunked(context.Background(), 97, 8, func(_ context.Context, i int) (int, error) {
+	out := make([]int, 97)
+	errs, err := forEach(context.Background(), 97, 8, collect(out, func(_ context.Context, i int) (int, error) {
 		if i%10 == 4 {
 			return 0, sentinel
 		}
 		return i + 1, nil
-	})
+	}), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,16 +329,21 @@ func TestMapPartialChunkedCollectsErrors(t *testing.T) {
 }
 
 func TestChunkSizing(t *testing.T) {
-	// Chunk targets ~4 chunks per worker and never returns less than 1.
+	// chunkSize targets ~4 chunks per worker, never returns less than
+	// 1, and stays at 1 below 8 tasks per worker — so Map dispatches a
+	// short task list exactly as ForEach does.
 	ctx := context.Background()
 	w := WorkersFor(ctx)
-	if got, want := Chunk(ctx, 0), 1; got != want {
-		t.Errorf("Chunk(0) = %d, want %d", got, want)
+	if got, want := chunkSize(ctx, 0), 1; got != want {
+		t.Errorf("chunkSize(0) = %d, want %d", got, want)
 	}
-	if got, want := Chunk(ctx, 1), 1; got != want {
-		t.Errorf("Chunk(1) = %d, want %d", got, want)
+	if got, want := chunkSize(ctx, 1), 1; got != want {
+		t.Errorf("chunkSize(1) = %d, want %d", got, want)
 	}
-	if got, want := Chunk(ctx, 8*4*w), 8; got != want {
-		t.Errorf("Chunk(%d) = %d, want %d", 8*4*w, got, want)
+	if got, want := chunkSize(ctx, 8*w-1), 1; got != want {
+		t.Errorf("chunkSize(%d) = %d, want %d", 8*w-1, got, want)
+	}
+	if got, want := chunkSize(ctx, 8*4*w), 8; got != want {
+		t.Errorf("chunkSize(%d) = %d, want %d", 8*4*w, got, want)
 	}
 }

@@ -82,8 +82,8 @@ type peerState struct {
 // Coordinator partitions sweep grids into point-leases and dispatches
 // them across worker peers, re-dispatching on lease timeout or peer
 // failure and hedging stragglers. Its Evaluate method is a
-// core.Evaluator, so the sharded sweeps merge coordinator output
-// byte-identically to a local run. Safe for concurrent use.
+// core.Evaluator, so the sweep entries merge coordinator output
+// byte-identically to an in-process run. Safe for concurrent use.
 type Coordinator struct {
 	opts  Options
 	peers []*peerState
@@ -154,6 +154,12 @@ func (c *Coordinator) Peers() []string {
 func (c *Coordinator) Evaluate(ctx context.Context, g *core.Grid, indices []int) ([]core.PointValue, error) {
 	if len(c.peers) == 0 {
 		return nil, errors.New("shard: coordinator has no peers")
+	}
+	if !g.Wire || g.FeedbackK != 0 {
+		// A Request cannot name these grids: workers would evaluate the
+		// wire-on, default-constant grid, and its journaled leases
+		// would replay under this grid's lease keys.
+		return nil, fmt.Errorf("shard: %s grid with wire=%t feedback_k=%g cannot be leased", g.Kind, g.Wire, g.FeedbackK)
 	}
 	ctx, sp := obs.Start(ctx, "shard.coordinate",
 		obs.KV("kind", g.Kind), obs.KV("tech", g.Tech),
@@ -266,7 +272,9 @@ func (c *Coordinator) lease(ctx context.Context, g *core.Grid, idxs []int) ([]co
 }
 
 // leaseValues validates a worker result against the lease: every
-// leased index answered exactly once, no extras.
+// leased index answered exactly once, no extras, each under the key
+// this grid gives it (a worker that built a different grid — another
+// technology, wire mode or bounds — must not be merged).
 func leaseValues(g *core.Grid, idxs []int, res *Result) ([]core.PointValue, error) {
 	if len(res.Points) != len(idxs) {
 		return nil, fmt.Errorf("worker %s returned %d points for a %d-point lease", res.Worker, len(res.Points), len(idxs))
@@ -281,6 +289,9 @@ func leaseValues(g *core.Grid, idxs []int, res *Result) ([]core.PointValue, erro
 			return nil, fmt.Errorf("worker %s returned unleased or duplicate index %d", res.Worker, p.Index)
 		}
 		delete(want, p.Index)
+		if k := g.Key(p.Index); p.Key != k {
+			return nil, fmt.Errorf("worker %s returned key %q for index %d, want %q", res.Worker, p.Key, p.Index, k)
+		}
 		if p.Err == "" && len(p.Value) == 0 {
 			return nil, fmt.Errorf("worker %s returned empty value for index %d (%s)", res.Worker, p.Index, g.Key(p.Index))
 		}

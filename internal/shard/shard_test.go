@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,7 +26,7 @@ import (
 // journaling) are tested without paying for real sweeps.
 func fakeGrid() *core.Grid {
 	return &core.Grid{
-		Kind: "alu-depth", Tech: "organic", MaxStages: 8, N: 8,
+		Kind: "alu-depth", Tech: "organic", Wire: true, MaxStages: 8, N: 8,
 		Key:  func(i int) string { return fmt.Sprintf("pt/%d", i) },
 		Eval: func(ctx context.Context, i int) (any, error) { return i * i, nil },
 	}
@@ -131,6 +132,37 @@ func TestCoordinatorDispatchBudget(t *testing.T) {
 	}
 	if got := dead.calls.Load(); got != 2 {
 		t.Errorf("dispatches = %d, want exactly MaxDispatches = 2", got)
+	}
+}
+
+// TestCoordinatorRejectsForeignKeys: a worker that answers one point
+// under a key the coordinator's grid does not give it (it built a
+// different grid) is never merged — every dispatch is rejected and the
+// lease fails. A grid the shard protocol cannot name is refused before
+// any dispatch.
+func TestCoordinatorRejectsForeignKeys(t *testing.T) {
+	g := fakeGrid()
+	foreign := &fakePeer{name: "foreign", fn: func(ctx context.Context, req *Request) (*Result, error) {
+		res := answer(req)
+		res.Points[len(res.Points)-1].Key = "alu/silicon/nowire/k0/n8"
+		return res, nil
+	}}
+	c := New(Options{Batch: 8, HedgeAfter: -1, MaxDispatches: 2, BreakerThreshold: 10}, foreign)
+	_, err := c.Evaluate(context.Background(), g, indices(g.N))
+	if err == nil || !strings.Contains(err.Error(), "key") {
+		t.Fatalf("err = %v, want the foreign key rejected", err)
+	}
+	if got := foreign.calls.Load(); got != 2 {
+		t.Errorf("dispatches = %d, want MaxDispatches = 2 (each answer rejected)", got)
+	}
+
+	dry := fakeGrid()
+	dry.Wire = false
+	if _, err := c.Evaluate(context.Background(), dry, indices(dry.N)); err == nil {
+		t.Fatal("a wire-off grid was leased")
+	}
+	if got := foreign.calls.Load(); got != 2 {
+		t.Errorf("wire-off grid dispatched %d more leases, want none", got-2)
 	}
 }
 
@@ -257,9 +289,9 @@ func TestCoordinatorKillResume(t *testing.T) {
 	}
 }
 
-// TestLeaseValuesValidation: short, duplicate-index, and empty-value
-// worker answers are all rejected (and so re-dispatched by the lease
-// loop) instead of corrupting the merge.
+// TestLeaseValuesValidation: short, duplicate-index, empty-value, and
+// foreign-key worker answers are all rejected (and so re-dispatched by
+// the lease loop) instead of corrupting the merge.
 func TestLeaseValuesValidation(t *testing.T) {
 	g := fakeGrid()
 	idxs := []int{0, 1, 2}
@@ -271,9 +303,14 @@ func TestLeaseValuesValidation(t *testing.T) {
 		{"unleased", answerWith(t, []int{0, 1, 7})},
 		{"duplicate", answerWith(t, []int{0, 1, 1})},
 		{"empty value", &Result{Points: []PointResult{
-			{Index: 0, Value: json.RawMessage("1")},
-			{Index: 1, Value: json.RawMessage("1")},
-			{Index: 2},
+			{Index: 0, Key: "pt/0", Value: json.RawMessage("1")},
+			{Index: 1, Key: "pt/1", Value: json.RawMessage("1")},
+			{Index: 2, Key: "pt/2"},
+		}}},
+		{"foreign key", &Result{Points: []PointResult{
+			{Index: 0, Key: "pt/0", Value: json.RawMessage("1")},
+			{Index: 1, Key: "other/1", Value: json.RawMessage("1")},
+			{Index: 2, Key: "pt/2", Value: json.RawMessage("4")},
 		}}},
 	}
 	for _, tc := range cases {
@@ -291,9 +328,9 @@ func TestLeaseValuesValidation(t *testing.T) {
 	}
 	// An annotated point (partial-results posture) needs no value.
 	annotated := &Result{Points: []PointResult{
-		{Index: 0, Value: json.RawMessage("1")},
-		{Index: 1, Err: "error:injected"},
-		{Index: 2, Value: json.RawMessage("4")},
+		{Index: 0, Key: "pt/0", Value: json.RawMessage("1")},
+		{Index: 1, Key: "pt/1", Err: "error:injected"},
+		{Index: 2, Key: "pt/2", Value: json.RawMessage("4")},
 	}}
 	if _, err := leaseValues(g, idxs, annotated); err != nil {
 		t.Errorf("annotated point rejected: %v", err)

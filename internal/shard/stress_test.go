@@ -83,7 +83,7 @@ func TestCoordinatorStressRace(t *testing.T) {
 		hedgeAfter   = 5 * time.Millisecond
 	)
 	g := &core.Grid{
-		Kind: "alu-depth", Tech: "organic", MaxStages: gridN, N: gridN,
+		Kind: "alu-depth", Tech: "organic", Wire: true, MaxStages: gridN, N: gridN,
 		Key:  func(i int) string { return fmt.Sprintf("pt/%d", i) },
 		Eval: func(ctx context.Context, i int) (any, error) { return i * i, nil },
 	}
