@@ -18,9 +18,9 @@ package api
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"repro/biodeg"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -86,15 +86,10 @@ type SweepRequest struct {
 }
 
 // Technology resolves the request's tech name against the two
-// characterized processes.
+// characterized processes. The library names a SweepResult reports
+// ("silicon45") resolve too, so a response's tech can be posted back.
 func (r *SweepRequest) Technology() (*biodeg.Technology, error) {
-	switch r.Tech {
-	case "organic", "":
-		return biodeg.Organic(), nil
-	case "silicon":
-		return biodeg.Silicon(), nil
-	}
-	return nil, fmt.Errorf("unknown technology %q (want organic or silicon)", r.Tech)
+	return core.TechByName(r.Tech)
 }
 
 // ALUPoint is one depth of the Figure 12 ALU pipelining sweep.
@@ -350,6 +345,21 @@ type ExperimentResult struct {
 	Title   string  `json:"title"`
 	WallMS  float64 `json:"wall_ms"`
 	Tables  []Table `json:"tables"`
+}
+
+// FromExperimentResult converts one finished experiment to wire form.
+func FromExperimentResult(r biodeg.ExperimentResult) ExperimentResult {
+	out := ExperimentResult{
+		Version: Version,
+		ID:      r.Experiment.ID,
+		Title:   r.Experiment.Title,
+		WallMS:  float64(r.Wall.Nanoseconds()) / 1e6,
+		Tables:  make([]Table, len(r.Tables)),
+	}
+	for i, t := range r.Tables {
+		out.Tables[i] = FromTable(t)
+	}
+	return out
 }
 
 // JobExperiment is the job kind running one registry experiment; the

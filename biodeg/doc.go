@@ -20,19 +20,20 @@
 // a global lock.
 //
 // The context-first entry point is Session, built with functional
-// options: New(WithWorkers(8), WithMetrics(true), WithTracer(tr)).
-// Every sweep and experiment is a Session method taking a context for
-// cancellation; the sweep fans out over the session's worker pool
-// (unset options inherit the process defaults the commands install
-// from their flags), and parallel results are ordered by design point
-// — bit-identical to a serial run. Two sessions with different worker
-// counts or tracers coexist in one process; the biodegd daemon serves
-// all its HTTP traffic from one shared Session. A session configured
-// WithCoordinator fans its sweeps' points out to shard peers instead
-// of its own pool; the sweep code path is the same either way.
-// Session.RunExperiments executes independent paper figures
-// concurrently; Session.MetricsReport renders the per-stage wall-time
-// report, and Session.OnProgress registers live progress callbacks.
+// options: New(WithWorkers(8), WithTracer(tr)). Each config-backed
+// option is an edit of the process default configuration, applied at
+// call time, so unset fields follow the commands' flags. Every sweep
+// and experiment is a Session method taking a context for cancellation;
+// the sweep fans out over the session's worker pool, and parallel
+// results are ordered by design point — bit-identical to a serial run.
+// Two sessions with different worker counts or tracers coexist in one
+// process; the biodegd daemon serves all its HTTP traffic from one
+// shared Session. A session configured WithCoordinator fans its sweeps'
+// points out to shard peers instead of its own pool; the sweep code
+// path is the same either way. Session.RunExperiments executes
+// independent paper figures concurrently; Session.MetricsReport renders
+// the per-stage wall-time report (the commands print it under
+// -metrics), and Session.OnProgress registers live progress callbacks.
 //
 // Observability: Session methods parent their spans (internal/obs) to
 // the span carried by ctx, so a tracing run shows the full

@@ -22,9 +22,8 @@ import (
 )
 
 // Session is the context-first entry point to the reproduction: a
-// bundle of runtime options (worker count, metrics reporting, library
-// cache, tracer) that every method threads through the context it
-// passes down. Two sessions with different options coexist in one
+// bundle of runtime options (worker count, library cache, tracer) that
+// every method threads through the context it passes down. Two sessions with different options coexist in one
 // process without touching shared mutable state — Session replaces the
 // BIODEG_* process-environment globals the package grew up with.
 //
@@ -32,58 +31,44 @@ import (
 // number of goroutines; the HTTP daemon (cmd/biodegd) serves all
 // requests from one shared Session.
 //
-// Options left unset inherit the process default configuration
-// (installed by internal/cli from the command-line flags) at call
-// time, so the package-default session behind the deprecated
-// top-level functions still follows the flags.
+// Each config-backed option is an edit of config.Config, applied over
+// the process default configuration (installed by internal/cli from
+// the command-line flags) at call time, so fields no option sets keep
+// following the flags.
 type Session struct {
-	workers   *int
-	metrics   *bool
-	libCache  *string
+	// edits are the config.Config changes the options asked for,
+	// applied in order over the process default at call time.
+	edits     []func(*config.Config)
 	tracer    *obs.Tracer
 	telemetry *telemetry.Registry
 	logger    *slog.Logger
-
-	// Resilience options (see WithFaults, WithPartialResults,
-	// WithRetries, WithStageTimeout).
-	inj          *fault.Injector
-	partial      *bool
-	retries      *int
-	stageTimeout *time.Duration
+	inj       *fault.Injector // WithFaults; nil follows the process default
 
 	// Durability (see WithCheckpoint). The journal opens lazily on the
 	// session's first operation and stays open until Close.
-	checkpoint *string
-	cpOnce     sync.Once
-	cpJournal  *checkpoint.Journal
-	cpErr      error
+	cpOnce    sync.Once
+	cpJournal *checkpoint.Journal
+	cpErr     error
 
-	// Sharding (see WithPeers, WithCoordinator, WithShardBatch,
-	// WithLeaseTimeout, WithHedgeAfter). The coordinator builds lazily on
+	// Sharding (see WithCoordinator). The coordinator builds lazily on
 	// the first sharded sweep.
-	peers        []string
-	coordinator  *bool
-	shardBatch   *int
-	leaseTimeout *time.Duration
-	hedgeAfter   *time.Duration
-	coordOnce    sync.Once
-	coord        *shard.Coordinator
+	coordOnce sync.Once
+	coord     *shard.Coordinator
 }
 
 // Option configures a Session at New time.
 type Option func(*Session)
 
+// edit returns an Option that records one change to the session's
+// effective configuration.
+func edit(fn func(*config.Config)) Option {
+	return func(s *Session) { s.edits = append(s.edits, fn) }
+}
+
 // WithWorkers fixes the session's worker-pool size for every sweep and
 // experiment the session runs. n <= 0 means GOMAXPROCS.
 func WithWorkers(n int) Option {
-	return func(s *Session) { s.workers = &n }
-}
-
-// WithMetrics sets whether the session considers the per-stage metrics
-// report requested (MetricsEnabled). Recording is always on; this knob
-// only drives report printing.
-func WithMetrics(on bool) Option {
-	return func(s *Session) { s.metrics = &on }
+	return edit(func(c *config.Config) { c.Workers = n })
 }
 
 // WithLibCache names a directory persisting characterized libraries
@@ -92,7 +77,7 @@ func WithMetrics(on bool) Option {
 // its results); this option matters for the session that triggers the
 // first characterization.
 func WithLibCache(dir string) Option {
-	return func(s *Session) { s.libCache = &dir }
+	return edit(func(c *config.Config) { c.LibCache = dir })
 }
 
 // Tracer is an independent span collector (see internal/obs): spans
@@ -155,14 +140,14 @@ func WithFaults(spec FaultSpec) Option {
 // failed grid points (DepthPoint.Errors, the Err fields of ALUPoint and
 // WidthPoint) and keep going instead of aborting on the first error.
 func WithPartialResults(on bool) Option {
-	return func(s *Session) { s.partial = &on }
+	return edit(func(c *config.Config) { c.PartialResults = on })
 }
 
 // WithRetries gives every sweep task a per-task retry budget: a failed
 // grid point is re-attempted up to n times with exponential backoff
 // before it counts as failed. n <= 0 disables retrying.
 func WithRetries(n int) Option {
-	return func(s *Session) { s.retries = &n }
+	return edit(func(c *config.Config) { c.Retries = n })
 }
 
 // WithStageTimeout bounds each task attempt (one grid point, one
@@ -170,7 +155,7 @@ func WithRetries(n int) Option {
 // that attempt instead of pinning the sweep. d <= 0 means no deadline
 // beyond the caller's context.
 func WithStageTimeout(d time.Duration) Option {
-	return func(s *Session) { s.stageTimeout = &d }
+	return edit(func(c *config.Config) { c.StageTimeout = d })
 }
 
 // WithCheckpoint names a directory holding the session's crash-safe
@@ -183,7 +168,7 @@ func WithStageTimeout(d time.Duration) Option {
 // error rather than silently merged. "" disables checkpointing. Use
 // one journal directory per concurrently-running process.
 func WithCheckpoint(dir string) Option {
-	return func(s *Session) { s.checkpoint = &dir }
+	return edit(func(c *config.Config) { c.Checkpoint = dir })
 }
 
 // WithPeers lists worker biodegd base URLs ("http://host:8080") the
@@ -194,7 +179,11 @@ func WithCheckpoint(dir string) Option {
 // result-shaping knobs (fault spec, partial mode) — a mismatched
 // worker rejects its leases with a config-digest error.
 func WithPeers(urls ...string) Option {
-	return func(s *Session) { s.peers = append([]string(nil), urls...) }
+	if len(urls) == 0 {
+		return func(*Session) {}
+	}
+	urls = append([]string(nil), urls...)
+	return edit(func(c *config.Config) { c.Peers = urls })
 }
 
 // WithCoordinator routes the session's design-space sweeps through the
@@ -203,7 +192,7 @@ func WithPeers(urls ...string) Option {
 // with lease-timeout re-dispatch, hedged retries, and per-peer circuit
 // breakers. Merged tables are byte-identical to a local run.
 func WithCoordinator(on bool) Option {
-	return func(s *Session) { s.coordinator = &on }
+	return edit(func(c *config.Config) { c.Coordinator = on })
 }
 
 // WithShardBatch sets the coordinator's points-per-lease batch size.
@@ -211,14 +200,14 @@ func WithCoordinator(on bool) Option {
 // and shrink the re-dispatch unit; larger ones amortize per-lease HTTP
 // and journal overhead.
 func WithShardBatch(n int) Option {
-	return func(s *Session) { s.shardBatch = &n }
+	return edit(func(c *config.Config) { c.ShardBatch = n })
 }
 
 // WithLeaseTimeout bounds one dispatch of a shard lease; an expired
 // lease is re-dispatched to another peer. d <= 0 means the shard
 // package default.
 func WithLeaseTimeout(d time.Duration) Option {
-	return func(s *Session) { s.leaseTimeout = &d }
+	return edit(func(c *config.Config) { c.LeaseTimeout = d })
 }
 
 // WithHedgeAfter sets the coordinator's straggler window: a lease
@@ -226,7 +215,7 @@ func WithLeaseTimeout(d time.Duration) Option {
 // success wins. d == 0 means the shard package default; negative
 // disables hedging.
 func WithHedgeAfter(d time.Duration) Option {
-	return func(s *Session) { s.hedgeAfter = &d }
+	return edit(func(c *config.Config) { c.HedgeAfter = d })
 }
 
 // New builds a Session from the given options.
@@ -238,48 +227,15 @@ func New(opts ...Option) *Session {
 	return s
 }
 
-// config resolves the session's effective configuration: explicit
-// options over the process default, read at call time.
+// config resolves the session's effective configuration: its option
+// edits over the process default, read at call time.
 func (s *Session) config() config.Config {
 	c := config.Default()
-	if s.workers != nil {
-		c.Workers = *s.workers
-	}
-	if s.metrics != nil {
-		c.Metrics = *s.metrics
-	}
-	if s.libCache != nil {
-		c.LibCache = *s.libCache
-	}
-	if s.partial != nil {
-		c.PartialResults = *s.partial
-	}
-	if s.retries != nil {
-		c.Retries = *s.retries
-	}
-	if s.stageTimeout != nil {
-		c.StageTimeout = *s.stageTimeout
+	for _, fn := range s.edits {
+		fn(&c)
 	}
 	if s.inj != nil {
 		c.Faults = s.inj.Spec().String()
-	}
-	if s.checkpoint != nil {
-		c.Checkpoint = *s.checkpoint
-	}
-	if s.peers != nil {
-		c.Peers = s.peers
-	}
-	if s.coordinator != nil {
-		c.Coordinator = *s.coordinator
-	}
-	if s.shardBatch != nil {
-		c.ShardBatch = *s.shardBatch
-	}
-	if s.leaseTimeout != nil {
-		c.LeaseTimeout = *s.leaseTimeout
-	}
-	if s.hedgeAfter != nil {
-		c.HedgeAfter = *s.hedgeAfter
 	}
 	return c
 }
@@ -364,10 +320,6 @@ func (s *Session) FaultCounters() fault.Counters { return s.inj.Snapshot() }
 
 // Workers reports the worker-pool size the session's sweeps use.
 func (s *Session) Workers() int { return s.config().WorkerCount() }
-
-// MetricsEnabled reports whether the session asks for the per-stage
-// wall-time report.
-func (s *Session) MetricsEnabled() bool { return s.config().Metrics }
 
 // MetricsReport renders the process-wide per-stage counters and
 // wall-time histograms recorded so far.
@@ -552,11 +504,4 @@ type (
 	ShardResult  = shard.Result
 	ShardPoint   = shard.PointResult
 	ShardStatus  = shard.Status
-)
-
-// Shard error sentinels, re-exported for transports: a bad lease maps
-// to HTTP 400, a config-digest mismatch to 409.
-var (
-	ErrShardBadRequest     = shard.ErrBadRequest
-	ErrShardConfigMismatch = shard.ErrConfigMismatch
 )

@@ -3,6 +3,7 @@ package biodeg
 import (
 	"context"
 	"log/slog"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,39 +50,67 @@ func mustBind(t *testing.T, s *Session) context.Context {
 	return ctx
 }
 
+// TestSessionOptionResolution checks each config-backed option edits
+// exactly its own field: a session built with one option resolves to
+// the process default with that field changed and every other field
+// inherited. WithFaults with a disabled spec and WithPeers with no URLs
+// change nothing.
 func TestSessionOptionResolution(t *testing.T) {
 	old := config.Default()
 	defer config.SetDefault(old)
-	config.SetDefault(config.Config{Workers: 7, Metrics: true, LibCache: "/tmp/x"})
-
-	// An optionless session follows the process default at call time.
-	s := New()
-	if got := s.Workers(); got != 7 {
-		t.Errorf("default session workers = %d, want 7", got)
+	base := config.Config{
+		Workers: 7, LibCache: "/tmp/x", Retries: 1, RetryBase: time.Millisecond,
+		StageTimeout: time.Second, Checkpoint: "/tmp/ckpt",
+		Peers: []string{"http://a"}, ShardBatch: 3,
+		LeaseTimeout: time.Minute, HedgeAfter: 2 * time.Second,
 	}
-	if !s.MetricsEnabled() {
-		t.Error("default session should inherit Metrics=true")
+	config.SetDefault(base)
+	spec, err := ParseFaults("seed=1,rate=0.1,kinds=error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		opt  Option
+		want func(*config.Config)
+	}{
+		{"WithWorkers", WithWorkers(2), func(c *config.Config) { c.Workers = 2 }},
+		{"WithLibCache", WithLibCache("/tmp/y"), func(c *config.Config) { c.LibCache = "/tmp/y" }},
+		{"WithFaults", WithFaults(spec), func(c *config.Config) { c.Faults = spec.String() }},
+		{"WithFaults/disabled", WithFaults(FaultSpec{}), func(*config.Config) {}},
+		{"WithPartialResults", WithPartialResults(true), func(c *config.Config) { c.PartialResults = true }},
+		{"WithRetries", WithRetries(5), func(c *config.Config) { c.Retries = 5 }},
+		{"WithStageTimeout", WithStageTimeout(time.Hour), func(c *config.Config) { c.StageTimeout = time.Hour }},
+		{"WithCheckpoint", WithCheckpoint(""), func(c *config.Config) { c.Checkpoint = "" }},
+		{"WithPeers", WithPeers("http://b", "http://c"), func(c *config.Config) { c.Peers = []string{"http://b", "http://c"} }},
+		{"WithPeers/none", WithPeers(), func(*config.Config) {}},
+		{"WithCoordinator", WithCoordinator(true), func(c *config.Config) { c.Coordinator = true }},
+		{"WithShardBatch", WithShardBatch(9), func(c *config.Config) { c.ShardBatch = 9 }},
+		{"WithLeaseTimeout", WithLeaseTimeout(time.Second), func(c *config.Config) { c.LeaseTimeout = time.Second }},
+		{"WithHedgeAfter", WithHedgeAfter(-1), func(c *config.Config) { c.HedgeAfter = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := base
+			tc.want(&want)
+			if got := New(tc.opt).config(); !reflect.DeepEqual(got, want) {
+				t.Errorf("config = %+v\nwant     %+v", got, want)
+			}
+		})
 	}
 
-	// Explicit options override only the fields they set.
-	s2 := New(WithWorkers(2), WithMetrics(false))
-	if got := s2.Workers(); got != 2 {
+	// Resolution happens at call time: changing the default later is
+	// visible to the fields no option set, and only to those.
+	plain, pinned := New(), New(WithWorkers(2))
+	config.SetDefault(config.Config{Workers: 3, LibCache: "/tmp/z"})
+	if got := plain.Workers(); got != 3 {
+		t.Errorf("optionless session workers = %d, want the new default 3", got)
+	}
+	if got := pinned.Workers(); got != 2 {
 		t.Errorf("WithWorkers(2) session workers = %d, want 2", got)
 	}
-	if s2.MetricsEnabled() {
-		t.Error("WithMetrics(false) should win over the process default")
-	}
-	if got := s2.config().LibCache; got != "/tmp/x" {
-		t.Errorf("unset LibCache should inherit the default, got %q", got)
-	}
-
-	// Changing the default later is visible to unset fields only.
-	config.SetDefault(config.Config{Workers: 3})
-	if got := s.Workers(); got != 3 {
-		t.Errorf("optionless session should track the default, got %d", got)
-	}
-	if got := s2.Workers(); got != 2 {
-		t.Errorf("explicit workers must stay pinned, got %d", got)
+	if got := pinned.config().LibCache; got != "/tmp/z" {
+		t.Errorf("unset LibCache = %q, want the new default /tmp/z", got)
 	}
 }
 

@@ -109,9 +109,6 @@ func main() {
 			fmt.Printf("%-10s %8.3f %10d %8d %9.2f %9.3f\n", b, st.IPC, st.Instrs, st.Cycles, st.MPKI, st.MissRate)
 		}
 	}
-	if session.MetricsEnabled() {
-		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", session.Workers(), session.MetricsReport())
-	}
 	if err := run.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)
 		os.Exit(1)

@@ -38,8 +38,8 @@
 // A request shed by the admission semaphore gets 429 + Retry-After; a
 // request rejected by the open circuit breaker (consecutive engine
 // failures) gets 503 + Retry-After. SIGINT/SIGTERM drains in-flight
-// requests (bounded by -drain-timeout) before exit, then writes any
-// requested trace/manifest sinks.
+// requests (bounded by -drain-timeout) before exit, then prints the
+// -metrics report and writes any requested trace/manifest sinks.
 //
 // With -coordinator the daemon shards its sweeps: the grid is cut into
 // batched point leases dispatched to the worker daemons named by
@@ -105,23 +105,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	// One shared session serves every request: the flags fix its worker
-	// pool, metrics posture, and sharding role for the daemon's lifetime.
-	sessOpts := []biodeg.Option{
-		biodeg.WithWorkers(opts.Workers),
-		biodeg.WithMetrics(opts.Metrics),
-		biodeg.WithLibCache(opts.LibCache),
-	}
-	if *coordinator {
-		sessOpts = append(sessOpts,
-			biodeg.WithCoordinator(true),
-			biodeg.WithPeers(opts.Config().Peers...),
-			biodeg.WithShardBatch(opts.ShardBatch),
-			biodeg.WithLeaseTimeout(opts.LeaseTimeout),
-			biodeg.WithHedgeAfter(opts.HedgeAfter),
-		)
-	}
-	session := biodeg.New(sessOpts...)
+	// One shared session serves every request. Start installed the
+	// common flags (workers, library cache, peers, lease knobs) as the
+	// process default the session reads; only the sharding role is
+	// daemon-specific.
+	session := biodeg.New(biodeg.WithCoordinator(*coordinator))
 	srv := server.New(server.NewSessionEngine(session), server.Options{
 		MaxInflight:      *maxInflight,
 		CacheSize:        *cacheSize,

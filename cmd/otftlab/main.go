@@ -61,9 +61,6 @@ func main() {
 			fmt.Println(t.Render())
 		}
 	}
-	if session.MetricsEnabled() {
-		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", session.Workers(), session.MetricsReport())
-	}
 	biodeg.RecordResults(run.Manifest, results)
 	if err := run.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "otftlab: %v\n", err)

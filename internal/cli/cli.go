@@ -3,11 +3,13 @@
 // BIODEG_* environment variable, so precedence is flag > env > built-in
 // default. This package is the only place the BIODEG_* environment is
 // read: Options.Start installs the effective values as the process
-// default configuration (internal/config) and as the metrics-report
-// flag, so the internal packages — and the package-default
-// biodeg.Session — observe the flags without ever touching the
-// environment themselves. Commands that want non-default behavior
-// build an explicit biodeg.Session from the parsed Options instead.
+// default configuration (internal/config), so the internal packages —
+// and every biodeg.Session, whose options only edit that default —
+// observe the flags without ever touching the environment themselves.
+//
+// The -metrics flag is read here and nowhere else: Run.Finish prints
+// the worker count and the per-stage report (internal/runner/metrics)
+// to stderr before it writes any other sink.
 //
 // Start also turns on the observability sinks requested by the flags:
 // span tracing (internal/obs) when a trace, JSONL, or manifest output
@@ -71,7 +73,7 @@ type Options struct {
 // 0.1% per-point failure probability — visible but not disruptive).
 const AutoRetries = 2
 
-// envBool mirrors metrics.Enabled's parsing: set and not "0" is true.
+// envBool reads a boolean env var: set and not "0" is true.
 func envBool(key string) bool {
 	v := os.Getenv(key)
 	return v != "" && v != "0"
@@ -215,7 +217,6 @@ func (o *Options) configWith(spec fault.Spec) config.Config {
 	}
 	return config.Config{
 		Workers:        o.Workers,
-		Metrics:        o.Metrics,
 		LibCache:       o.LibCache,
 		Retries:        retries,
 		StageTimeout:   o.StageTimeout,
@@ -260,7 +261,6 @@ func (o *Options) Start(tool string) (*Run, context.Context, error) {
 	cfg := o.configWith(spec)
 	config.SetDefault(cfg)
 	fault.SetDefault(fault.New(spec))
-	metrics.SetEnabled(o.Metrics)
 	if o.Trace != "" || o.JSONL != "" || o.Manifest != "" {
 		obs.Enable()
 	}
@@ -313,12 +313,16 @@ func (o *Options) Start(tool string) (*Run, context.Context, error) {
 	return &Run{Opts: o, Manifest: m, root: root, start: time.Now()}, config.WithContext(ctx, cfg), nil
 }
 
-// Finish ends the root span and writes every requested sink. It
-// returns the first write error; the command should report it and exit
-// non-zero, since a missing trace the user asked for is a failure.
+// Finish ends the root span, prints the -metrics report to stderr, and
+// writes every requested sink. It returns the first write error; the
+// command should report it and exit non-zero, since a missing trace the
+// user asked for is a failure.
 func (r *Run) Finish() error {
 	r.root.End()
 	o := r.Opts
+	if o.Metrics {
+		fmt.Fprintf(os.Stderr, "\nworkers: %d\n%s", r.Manifest.Workers, metrics.Report())
+	}
 	if o.Trace == "" && o.JSONL == "" && o.Manifest == "" {
 		return nil
 	}

@@ -2,6 +2,8 @@ package cli
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,10 +39,7 @@ func pinEnv(t *testing.T) {
 		os.Unsetenv(k)
 	}
 	t.Cleanup(obs.Disable)
-	t.Cleanup(func() {
-		config.SetDefault(config.Config{})
-		metrics.SetEnabled(false)
-	})
+	t.Cleanup(func() { config.SetDefault(config.Config{}) })
 }
 
 func TestEnvProvidesDefaults(t *testing.T) {
@@ -71,9 +70,6 @@ func TestFlagsOverrideEnv(t *testing.T) {
 	// configuration (it no longer republishes them into the env).
 	if got := config.Default().Workers; got != 2 {
 		t.Errorf("default config workers = %d after Start, want 2", got)
-	}
-	if config.Default().Metrics || metrics.Enabled() {
-		t.Error("metrics should be off after Start with -metrics=false")
 	}
 	if got := config.Get(ctx).Workers; got != 2 {
 		t.Errorf("Start context carries workers = %d, want 2", got)
@@ -238,5 +234,56 @@ func TestCheckpointFlagAndEnv(t *testing.T) {
 	}
 	if got := run.Manifest.Env["BIODEG_CHECKPOINT"]; got != "/tmp/flag-ckpt" {
 		t.Errorf("manifest knobs BIODEG_CHECKPOINT = %q", got)
+	}
+}
+
+// finishStderr runs run.Finish with os.Stderr swapped for a pipe and
+// returns what Finish wrote there.
+func finishStderr(t *testing.T, run *Run) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		got <- string(b)
+	}()
+	old := os.Stderr
+	os.Stderr = w
+	ferr := run.Finish()
+	os.Stderr = old
+	w.Close()
+	out := <-got
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return out
+}
+
+// TestFinishPrintsMetricsReport pins -metrics as the one report switch:
+// with it, Finish writes the worker count and the per-stage report to
+// stderr exactly once; without it, Finish writes nothing there.
+func TestFinishPrintsMetricsReport(t *testing.T) {
+	pinEnv(t)
+	metrics.Add("cli.finish", 1) // so the report has a stage table
+
+	run, _, err := register(t, "-metrics", "-workers", "3").Start("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("\nworkers: 3\n%s", metrics.Report())
+	if got := finishStderr(t, run); got != want {
+		t.Errorf("-metrics stderr = %q, want %q", got, want)
+	}
+
+	run, _, err = register(t, "-workers", "3").Start("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := finishStderr(t, run); got != "" {
+		t.Errorf("stderr without -metrics = %q, want nothing", got)
 	}
 }

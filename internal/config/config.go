@@ -1,8 +1,7 @@
 // Package config carries the reproduction's runtime knobs — worker
-// count, metrics reporting, library disk cache, and the resilience
-// posture (retries, per-stage timeouts, partial-result sweeps, fault
-// spec) — explicitly instead of through BIODEG_* process environment
-// variables.
+// count, library disk cache, and the resilience posture (retries,
+// per-stage timeouts, partial-result sweeps, fault spec) — explicitly
+// instead of through BIODEG_* process environment variables.
 //
 // A Config travels two ways. Per-call configuration rides a context
 // (WithContext/FromContext): biodeg.Session attaches its options to
@@ -24,11 +23,10 @@ import (
 )
 
 // Config is one coherent set of runtime knobs. The zero value means
-// "all defaults": GOMAXPROCS workers, no metrics report, no library
-// disk cache, no retries, no per-stage timeout, fail-fast sweeps.
+// "all defaults": GOMAXPROCS workers, no library disk cache, no
+// retries, no per-stage timeout, fail-fast sweeps.
 type Config struct {
 	Workers  int    // worker-pool size; <= 0 means GOMAXPROCS
-	Metrics  bool   // print the per-stage wall-time report
 	LibCache string // directory persisting characterized libraries
 
 	// Resilience knobs (see internal/runner and internal/fault).

@@ -25,7 +25,7 @@ func TestContextCarriesConfig(t *testing.T) {
 	if _, ok := FromContext(ctx); ok {
 		t.Fatal("bare context should carry no Config")
 	}
-	want := Config{Workers: 2, Metrics: true, LibCache: "/tmp/x"}
+	want := Config{Workers: 2, LibCache: "/tmp/x"}
 	ctx = WithContext(ctx, want)
 	got, ok := FromContext(ctx)
 	if !ok || !reflect.DeepEqual(got, want) {

@@ -84,6 +84,24 @@ func SweepGrid(ctx context.Context, kind string, t *Tech, maxStages, minDepth, m
 	return nil, fmt.Errorf("unknown sweep kind %q", kind)
 }
 
+// NormalizeBounds applies the sweep-request defaults to unset (<= 0)
+// bounds: 12 ALU stages, core depths 9 to 15. The HTTP sweep handler
+// and the shard worker both normalize through it, so a coordinator and
+// its workers build the same grid whichever bounds a request spells
+// out.
+func NormalizeBounds(maxStages, minDepth, maxDepth int) (int, int, int) {
+	if maxStages <= 0 {
+		maxStages = 12
+	}
+	if minDepth <= 0 {
+		minDepth = 9
+	}
+	if maxDepth <= 0 {
+		maxDepth = 15
+	}
+	return maxStages, minDepth, maxDepth
+}
+
 // checkpointed adapts a kind's typed point function to Grid.Eval: each
 // point runs under runner.Checkpointed with its own key and the kind's
 // concrete type, so a journal replay decodes into T (replaying through

@@ -39,14 +39,9 @@ type ipcKey struct {
 // of convoying on one package-level mutex.
 var ipcMemo runner.Memo[ipcKey, uarch.Stats]
 
-// BenchIPC runs (with caching) one workload through the cycle-level
-// model and returns its statistics.
-func BenchIPC(bench string, cfg uarch.Config) (uarch.Stats, error) {
-	return BenchIPCCtx(context.Background(), bench, cfg)
-}
-
-// BenchIPCCtx is BenchIPC with span parenting: a cache miss simulates
-// under an "ipc" span (and metrics observation) parented to the first
+// BenchIPCCtx runs (with caching) one workload through the cycle-level
+// model and returns its statistics. A cache miss simulates under an
+// "ipc" span (and metrics observation) parented to the first
 // requester's span.
 func BenchIPCCtx(ctx context.Context, bench string, cfg uarch.Config) (uarch.Stats, error) {
 	return ipcMemo.Do(ipcKey{bench, cfg}, func() (uarch.Stats, error) {
@@ -93,14 +88,9 @@ func Benchmarks() []string {
 	return names
 }
 
-// MeanIPC averages IPC over all benchmarks for one configuration (the
-// metric behind Figure 13).
-func MeanIPC(cfg uarch.Config) (float64, error) {
-	return MeanIPCCtx(context.Background(), cfg)
-}
-
-// MeanIPCCtx is MeanIPC with span parenting for the per-benchmark
-// simulations.
+// MeanIPCCtx averages IPC over all benchmarks for one configuration
+// (the metric behind Figure 13), parenting the per-benchmark
+// simulations' spans to ctx.
 func MeanIPCCtx(ctx context.Context, cfg uarch.Config) (float64, error) {
 	var sum float64
 	names := Benchmarks()

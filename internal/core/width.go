@@ -137,28 +137,3 @@ func Optimal(pts []WidthPoint) (fe, be int) {
 	}
 	return fe, be
 }
-
-// StageDelay pairs a stage name with its per-stage delay.
-type StageDelay struct {
-	Name  string
-	Delay float64
-}
-
-// StageDelays reports each baseline stage's combinational delay for
-// diagnostics and the ablation benches.
-func StageDelays(t *Tech, fe, be int, wire bool) ([]StageDelay, error) {
-	blocks, err := coreBlocks(context.Background(), t, fe, be, wire)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]StageDelay, len(blocks))
-	for i, b := range blocks {
-		out[i] = StageDelay{Name: b.Name, Delay: b.Delay()}
-	}
-	return out, nil
-}
-
-// MeanIPCAt is MeanIPC at the baseline depth for a width pair.
-func MeanIPCAt(fe, be int) (float64, error) {
-	return MeanIPC(uarchConfig(fe, be, nil))
-}

@@ -11,7 +11,7 @@
 // span.End() closes it. Spans record start/end time, parent id,
 // goroutine id, and free-form key=value attributes. The reserved
 // attribute obs.Stage(name) additionally routes the span's duration
-// into runner/metrics via metrics.Observe — the metrics report
+// into runner/metrics via metrics.ObserveIn — the metrics report
 // (counters, histograms, progress hook) is therefore a consumer of the
 // same span stream as the trace exporters, so counters, histograms,
 // traces, and manifests always agree.
@@ -19,14 +19,13 @@
 // # Hot path
 //
 // The tracer has no locks. While tracing is disabled (the default),
-// Start costs one atomic load plus one small allocation — the same
-// order as the metrics.Time closure it replaced — and End feeds only
-// the metrics stage. While enabled, each finished span claims a slot in
-// a bounded preallocated buffer with one atomic add and publishes
-// itself with one atomic pointer store; spans beyond the buffer's
-// capacity increment a drop counter that every sink reports. Enabling
-// is process-wide: Enable (or EnableCapacity) starts a fresh buffer,
-// Collect snapshots it, and the Write* functions export it.
+// Start costs one atomic load plus one small allocation, and End feeds
+// only the metrics stage. While enabled, each finished span claims a
+// slot in a bounded preallocated buffer with one atomic add and
+// publishes itself with one atomic pointer store; spans beyond the
+// buffer's capacity increment a drop counter that every sink reports.
+// Enabling is process-wide: Enable (or EnableCapacity) starts a fresh
+// buffer, Collect snapshots it, and the Write* functions export it.
 //
 // # Instrumented flow
 //

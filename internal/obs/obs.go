@@ -34,7 +34,7 @@ func Bool(key string, v bool) Attr { return Attr{Key: key, Value: strconv.Format
 const StageKey = "stage"
 
 // Stage marks a span as one unit of a metrics stage: when the span
-// ends, its duration is recorded via metrics.Observe under this name,
+// ends, its duration is recorded via metrics.ObserveIn under this name,
 // making the metrics report a consumer of the span stream rather than a
 // parallel bookkeeping path.
 func Stage(stage string) Attr { return Attr{Key: StageKey, Value: stage} }
@@ -174,7 +174,7 @@ func TracerFromContext(ctx context.Context) *Tracer {
 // When tracing is disabled the span still exists — so a Stage attribute
 // keeps feeding the metrics report — but it is not buffered, carries no
 // id, and the context is returned unchanged (no allocation beyond the
-// span itself, mirroring the cost of the former metrics.Time closure).
+// span itself).
 func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
 	s := &Span{name: name, attrs: attrs}
 	for _, a := range attrs {

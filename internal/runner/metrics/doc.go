@@ -14,9 +14,12 @@
 // the caller supplies one (biodeg.Session's WithTelemetry).
 //
 // Recording is always cheap (a sync.Map handle load plus atomic adds
-// into power-of-ten duration buckets) and safe from any goroutine. The
-// commands emit Report to stderr when the -metrics flag (SetEnabled)
-// asks for it; libraries record unconditionally and never print.
+// into power-of-ten duration buckets) and safe from any goroutine.
+// Observations arrive from the span layer (internal/obs calls ObserveIn
+// when a span tagged obs.Stage ends) and from Add for untimed counts.
+// Libraries record unconditionally and never print; the -metrics flag
+// is read only by internal/cli, whose Run.Finish writes Report to
+// stderr.
 // OnProgress installs a callback fired after every observation — the
 // hook for driving progress bars or SSE streams from a sweep without
 // touching the sweep code. The hook lives outside the registry, so

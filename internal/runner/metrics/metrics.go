@@ -34,9 +34,9 @@ const (
 // telemetry registry and on any per-session registry handed to
 // ObserveIn). Exported so the exposition tests and docs name one truth.
 const (
-	// EventsMetric counts completed units per stage (Observe and Add).
+	// EventsMetric counts completed units per stage (ObserveIn and Add).
 	EventsMetric = "biodeg_stage_events_total"
-	// DurationMetric is the per-stage wall-time histogram (Observe only).
+	// DurationMetric is the per-stage wall-time histogram (ObserveIn only).
 	DurationMetric = "biodeg_stage_duration_seconds"
 )
 
@@ -108,31 +108,13 @@ func vecsFor(r *telemetry.Registry) *stageVecs {
 // broker) keeps receiving events afterwards.
 var progress atomic.Pointer[func(stage string, count int64, d time.Duration)]
 
-// enabled gates the text report. Recording via Observe/Add is always
-// on (it is cheap and lock-free); this flag only says whether a
-// command should print the report. It is set explicitly — by
-// internal/cli from the -metrics flag, or by a biodeg.Session option —
-// never read from the environment here.
-var enabled atomic.Bool
-
-// SetEnabled turns the process-default metrics report on or off.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether the metrics report was requested via
-// SetEnabled.
-func Enabled() bool { return enabled.Load() }
-
-// Observe records one completed unit of work in a stage on the
-// process-default registry: it bumps the stage counter, accumulates
-// wall time into the histogram, and fires the progress hook (if
-// installed) with the new count.
-func Observe(stage string, d time.Duration) { ObserveIn(nil, stage, d) }
-
-// ObserveIn is Observe recording into reg in addition to the process
-// default — the per-session path: a biodeg.Session built WithTelemetry
-// carries its registry to the span layer (internal/obs), which calls
-// ObserveIn on span end. A nil reg (or the default registry itself)
-// records once, into the default.
+// ObserveIn records one completed unit of work in a stage: it bumps
+// the stage counter, accumulates wall time into the histogram, and
+// fires the progress hook (if installed) with the new count. It
+// records into the process-default registry and, when reg is another
+// registry, into reg too — the per-session path: a biodeg.Session
+// built WithTelemetry carries its registry to the span layer
+// (internal/obs), which calls ObserveIn on span end.
 func ObserveIn(reg *telemetry.Registry, stage string, d time.Duration) {
 	secs := d.Seconds()
 	def := vecsFor(telemetry.Default())
@@ -146,15 +128,6 @@ func ObserveIn(reg *telemetry.Registry, stage string, d time.Duration) {
 	if fn := progress.Load(); fn != nil {
 		(*fn)(stage, n, d)
 	}
-}
-
-// Time starts a stopwatch for one unit of stage work; the returned
-// function stops it and records the observation:
-//
-//	defer metrics.Time(metrics.StageSTA)()
-func Time(stage string) func() {
-	start := time.Now()
-	return func() { Observe(stage, time.Since(start)) }
 }
 
 // Add bumps a stage's counter by n without timing (for counted events
@@ -177,7 +150,7 @@ func Count(stage string) int64 {
 }
 
 // OnProgress installs fn as the progress hook, called after every
-// Observe/Add with the stage name, its new cumulative count, and the
+// ObserveIn/Add with the stage name, its new cumulative count, and the
 // observation's duration (0 for Add). Pass nil to remove the hook. The
 // callback runs on the observing goroutine and must be fast and
 // concurrency-safe. The hook is independent of the recorded data:

@@ -9,9 +9,9 @@ import (
 
 func TestObserveAndReport(t *testing.T) {
 	Reset()
-	Observe(StageSTA, 5*time.Millisecond)
-	Observe(StageSTA, 70*time.Millisecond)
-	Observe(StageIPC, 2*time.Second)
+	ObserveIn(nil, StageSTA, 5*time.Millisecond)
+	ObserveIn(nil, StageSTA, 70*time.Millisecond)
+	ObserveIn(nil, StageIPC, 2*time.Second)
 	snaps := Snapshots()
 	if len(snaps) != 2 {
 		t.Fatalf("got %d stages, want 2", len(snaps))
@@ -64,8 +64,8 @@ func TestProgressHook(t *testing.T) {
 		mu.Unlock()
 	})
 	defer OnProgress(nil)
-	Observe(StagePipeline, time.Millisecond)
-	Observe(StagePipeline, time.Millisecond)
+	ObserveIn(nil, StagePipeline, time.Millisecond)
+	ObserveIn(nil, StagePipeline, time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(events) != 2 || events[1] != 2 {
@@ -90,7 +90,7 @@ func TestProgressHookSurvivesReset(t *testing.T) {
 		mu.Unlock()
 	})
 	defer OnProgress(nil)
-	Observe(StagePipeline, time.Millisecond)
+	ObserveIn(nil, StagePipeline, time.Millisecond)
 	Reset()
 	// Concurrent observers after the reset keep the -race detector
 	// honest about the hook pointer and the recreated series.
@@ -99,7 +99,7 @@ func TestProgressHookSurvivesReset(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Observe(StagePipeline, time.Millisecond)
+			ObserveIn(nil, StagePipeline, time.Millisecond)
 		}()
 	}
 	wg.Wait()
@@ -131,7 +131,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				Observe(StageCharacterize, time.Microsecond)
+				ObserveIn(nil, StageCharacterize, time.Microsecond)
 			}
 		}()
 	}
@@ -139,22 +139,6 @@ func TestConcurrentObserve(t *testing.T) {
 	snaps := Snapshots()
 	if len(snaps) != 1 || snaps[0].Count != 800 {
 		t.Fatalf("snapshots = %+v, want one stage with count 800", snaps)
-	}
-}
-
-func TestEnabled(t *testing.T) {
-	defer SetEnabled(false)
-	SetEnabled(false)
-	if Enabled() {
-		t.Error("enabled before SetEnabled(true)")
-	}
-	SetEnabled(true)
-	if !Enabled() {
-		t.Error("not enabled after SetEnabled(true)")
-	}
-	SetEnabled(false)
-	if Enabled() {
-		t.Error("still enabled after SetEnabled(false)")
 	}
 }
 

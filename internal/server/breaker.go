@@ -8,22 +8,6 @@ import (
 	"repro/internal/server/breaker"
 )
 
-// ErrUnavailable marks a request rejected by the open circuit breaker —
-// HTTP 503 with a Retry-After hint. Unlike the admission semaphore's
-// 429 (healthy but full), a 503 means recent computations have been
-// failing and the server is deliberately resting the engine. It is the
-// breaker package's ErrOpen, re-exported under the transport's name.
-var ErrUnavailable = breaker.ErrOpen
-
-// Breaker defaults; Options.BreakerThreshold/BreakerCooldown override.
-const (
-	DefaultBreakerThreshold = breaker.DefaultThreshold
-	DefaultBreakerCooldown  = breaker.DefaultCooldown
-)
-
-// BreakerStatus is the /v1/faultz view of the breaker.
-type BreakerStatus = breaker.Status
-
 // newEngineBreaker builds the server's engine breaker: engine-class
 // failures (isEngineFailure) trip it, and transitions mirror into the
 // biodeg_breaker_state gauge. The gauge is process-global like the rest

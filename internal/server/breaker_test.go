@@ -12,6 +12,7 @@ import (
 
 	"repro/biodeg/api"
 	"repro/internal/fault"
+	"repro/internal/server/breaker"
 )
 
 // State-machine unit tests live with the extracted breaker package
@@ -109,7 +110,7 @@ func TestBreakerHTTP(t *testing.T) {
 	slurp(t, resp)
 
 	var faultz struct {
-		Breaker  BreakerStatus    `json:"breaker"`
+		Breaker  breaker.Status   `json:"breaker"`
 		Observed map[string]int64 `json:"observed"`
 	}
 	resp, err := http.Get(ts.URL + "/v1/faultz")

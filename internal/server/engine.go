@@ -8,6 +8,7 @@ import (
 
 	"repro/biodeg"
 	"repro/biodeg/api"
+	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -48,8 +49,8 @@ type Engine interface {
 }
 
 // SessionEngine is the production Engine: every call threads through
-// one shared biodeg.Session, so the daemon's worker-pool size, metrics
-// flag, and tracer are fixed at construction.
+// one shared biodeg.Session, so the daemon's configuration and tracer
+// are fixed at construction.
 type SessionEngine struct {
 	Session *biodeg.Session
 }
@@ -83,18 +84,8 @@ func (e *SessionEngine) RunExperiment(ctx context.Context, id string) (*api.Expe
 		}
 		return nil, err
 	}
-	r := results[0]
-	out := &api.ExperimentResult{
-		Version: api.Version,
-		ID:      r.Experiment.ID,
-		Title:   r.Experiment.Title,
-		WallMS:  float64(r.Wall.Nanoseconds()) / 1e6,
-		Tables:  make([]api.Table, len(r.Tables)),
-	}
-	for i, t := range r.Tables {
-		out.Tables[i] = api.FromTable(t)
-	}
-	return out, nil
+	out := api.FromExperimentResult(results[0])
+	return &out, nil
 }
 
 // Sweep implements Engine.
@@ -102,17 +93,7 @@ func (e *SessionEngine) Sweep(ctx context.Context, kind string, req api.SweepReq
 	// Validate kind and bounds before resolving the technology:
 	// resolution characterizes the cell library on first use, and a
 	// malformed request must not pay (or trigger) that.
-	maxStages := req.MaxStages
-	if maxStages <= 0 {
-		maxStages = 12
-	}
-	minDepth, maxDepth := req.MinDepth, req.MaxDepth
-	if minDepth <= 0 {
-		minDepth = 9
-	}
-	if maxDepth <= 0 {
-		maxDepth = 15
-	}
+	maxStages, minDepth, maxDepth := core.NormalizeBounds(req.MaxStages, req.MinDepth, req.MaxDepth)
 	switch kind {
 	case api.SweepALUDepth, api.SweepWidth:
 	case api.SweepCoreDepth:

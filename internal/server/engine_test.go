@@ -3,14 +3,18 @@ package server
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/biodeg/api"
+	"repro/internal/config"
 )
 
 // The SessionEngine tests stick to paths that avoid technology
 // characterization (registry listing, validation, the pure cycle-level
-// simulator), keeping the package's test time in milliseconds.
+// simulator, a one-stage sweep over a reference library), keeping the
+// package's test time in milliseconds.
 
 func TestSessionEngineExperiments(t *testing.T) {
 	eng := NewSessionEngine(nil)
@@ -46,6 +50,40 @@ func TestSessionEngineErrors(t *testing.T) {
 	if _, err := eng.Simulate(ctx, api.SimulateRequest{Bench: "nope"}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown benchmark error = %v, want ErrNotFound", err)
 	}
+
+	// The library name a sweep result reports ("silicon45") is not a bad
+	// request: a response's tech posts back. A copy of the committed
+	// reference library stands in for characterization.
+	useReferenceLibrary(t, "silicon45")
+	res, err := eng.Sweep(ctx, api.SweepALUDepth, api.SweepRequest{Tech: "silicon", MaxStages: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := eng.Sweep(ctx, api.SweepALUDepth, api.SweepRequest{Tech: res.Tech, MaxStages: 1})
+	if err != nil {
+		t.Fatalf("posting back tech %q: %v", res.Tech, err)
+	}
+	if back.Tech != res.Tech {
+		t.Errorf("round-tripped tech = %q, want %q", back.Tech, res.Tech)
+	}
+}
+
+// useReferenceLibrary points the process default library cache at a
+// temporary copy of the named committed reference library, so the
+// technology loads instead of characterizing.
+func useReferenceLibrary(t *testing.T, name string) {
+	t.Helper()
+	lib, err := os.ReadFile(filepath.Join("..", "cells", "testdata", name+".lib"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name+".lib"), lib, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := config.Default()
+	t.Cleanup(func() { config.SetDefault(old) })
+	config.SetDefault(config.Config{LibCache: dir})
 }
 
 func TestSessionEngineSimulate(t *testing.T) {

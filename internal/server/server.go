@@ -77,11 +77,11 @@ type Options struct {
 	// fault.Default() (itself nil when -faults is off).
 	Injector *fault.Injector
 	// BreakerThreshold is the consecutive engine-failure count that
-	// opens the circuit breaker. 0 means DefaultBreakerThreshold;
+	// opens the circuit breaker. 0 means breaker.DefaultThreshold;
 	// negative disables the breaker entirely.
 	BreakerThreshold int
 	// BreakerCooldown is how long the breaker stays open before its
-	// half-open probe. 0 means DefaultBreakerCooldown.
+	// half-open probe. 0 means breaker.DefaultCooldown.
 	BreakerCooldown time.Duration
 	// AccessLog emits one structured (slog) line per served request,
 	// carrying the route, status, latency, and — when tracing is on —
@@ -296,7 +296,9 @@ func errStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, errConfigMismatch):
 		return http.StatusConflict
-	case errors.Is(err, ErrUnavailable):
+	case errors.Is(err, breaker.ErrOpen):
+		// The open breaker is resting a failing engine: unlike the
+		// admission semaphore's 429 (healthy but full), retry later.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -390,7 +392,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route str
 		return json.Marshal(v)
 	})
 	if err != nil {
-		if errors.Is(err, ErrUnavailable) {
+		if errors.Is(err, breaker.ErrOpen) {
 			w.Header().Set("Retry-After", s.brk.RetryAfter())
 		}
 		writeError(w, errStatus(err), err.Error())

@@ -291,7 +291,7 @@ func TestProgressSSEOrdering(t *testing.T) {
 	}
 
 	for i := 1; i <= 3; i++ {
-		metrics.Observe(fmt.Sprintf("stage%d", i), time.Duration(i)*time.Millisecond)
+		metrics.ObserveIn(nil, fmt.Sprintf("stage%d", i), time.Duration(i)*time.Millisecond)
 	}
 
 	var events []ProgressEvent

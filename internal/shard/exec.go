@@ -30,7 +30,7 @@ func Exec(ctx context.Context, req *Request) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	maxStages, minDepth, maxDepth := normalizeBounds(req.MaxStages, req.MinDepth, req.MaxDepth)
+	maxStages, minDepth, maxDepth := core.NormalizeBounds(req.MaxStages, req.MinDepth, req.MaxDepth)
 	g, err := core.SweepGrid(ctx, req.Kind, t, maxStages, minDepth, maxDepth)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -56,22 +56,6 @@ func Exec(ctx context.Context, req *Request) (*Result, error) {
 		res.Points[i] = PointResult{Index: v.Index, Key: g.Key(v.Index), Value: v.Value, Err: v.Err}
 	}
 	return res, nil
-}
-
-// normalizeBounds applies the sweep-request defaults (the same ones the
-// HTTP sweep handlers apply), so coordinator and worker agree on the
-// grid regardless of which bounds a request spells out.
-func normalizeBounds(maxStages, minDepth, maxDepth int) (int, int, int) {
-	if maxStages <= 0 {
-		maxStages = 12
-	}
-	if minDepth <= 0 {
-		minDepth = 9
-	}
-	if maxDepth <= 0 {
-		maxDepth = 15
-	}
-	return maxStages, minDepth, maxDepth
 }
 
 // workerName identifies this process in shard results (diagnostics
