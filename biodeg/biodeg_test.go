@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/uarch"
+	"repro/internal/workload"
 )
 
 func TestInverterDCThroughAPI(t *testing.T) {
@@ -106,6 +109,48 @@ func TestConcurrentExperiments(t *testing.T) {
 	for _, ipc := range ipcs[1:] {
 		if ipc != ipcs[0] {
 			t.Errorf("concurrent SimulateIPC disagrees: %v", ipcs)
+		}
+	}
+}
+
+// TestConcurrentSimulateIPCDistinctConfigs races simulations of one
+// kernel under distinct configurations. They share the kernel's one
+// recorded functional run; run under -race this is the safety test for
+// that sharing, and each result must equal the functional machine
+// driving the timing model directly.
+func TestConcurrentSimulateIPCDistinctConfigs(t *testing.T) {
+	const bench = "vortex"
+	w := workload.ByName(bench)
+	cfgs := make([]CoreConfig, 6)
+	for i := range cfgs {
+		cfgs[i] = DefaultCore()
+		cfgs[i].FrontWidth = 1 + i
+		cfgs[i].BackWidth = 3 + i%5
+		cfgs[i].FrontStages = 5 // off the figure grids, so the Stats memo is cold
+		cfgs[i].ICacheKB = []int{0, 4, 16}[i%3]
+	}
+	s := New()
+	got := make([]Stats, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := s.SimulateIPC(context.Background(), bench, cfgs[i])
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = st
+		}(i)
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		m, err := w.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uarch.Run(&uarch.MachineSource{M: m, Max: w.MaxInstr}, cfg); got[i] != want {
+			t.Errorf("config %d: concurrent %+v, serial %+v", i, got[i], want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -49,12 +50,50 @@ func BenchIPCCtx(ctx context.Context, bench string, cfg uarch.Config) (uarch.Sta
 	})
 }
 
-// BenchIPCUncachedCtx runs the full cycle-level simulation every call,
-// bypassing the process-wide memo. The sweeps never want this; it
-// exists for benchmarking the simulator itself (benchrun -json), where
-// a memo hit would measure a map lookup instead of the model.
+// recordings holds each kernel's functional run, recorded once per
+// process: the run and its Verify do not depend on the core
+// configuration, so every simulation of a kernel replays the same
+// Recording. Failed recordings are not cached.
+var recordings runner.Memo[string, *uarch.Recording]
+
+// recording returns w's verified Recording, running the kernel
+// functionally under an "ipc.record" span on the first request. The
+// span carries no metrics stage, so the simulation that waits for it
+// still counts as exactly one "ipc" observation.
+func recording(ctx context.Context, w *workload.Workload) (*uarch.Recording, error) {
+	return recordings.Do(w.Name, func() (*uarch.Recording, error) {
+		_, sp := obs.Start(ctx, "ipc.record", obs.KV("bench", w.Name))
+		defer sp.End()
+		m, err := w.NewMachine()
+		if err != nil {
+			return nil, err
+		}
+		p, err := w.Program()
+		if err != nil {
+			return nil, err
+		}
+		rec, err := uarch.Record(m, p, w.MaxInstr)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", w.Name, err)
+		}
+		if err := w.Verify(m); err != nil {
+			return nil, err
+		}
+		sp.Set("instrs", strconv.FormatUint(rec.Instrs(), 10))
+		sp.Set("bytes", strconv.Itoa(rec.Bytes()))
+		return rec, nil
+	})
+}
+
+// BenchIPCUncachedCtx runs the cycle-level simulation every call,
+// bypassing the process-wide memo of per-configuration Stats. It
+// replays the kernel's Recording, so after a kernel's first call it
+// times replay plus the timing model; the functional run happens once
+// per kernel per process. The sweeps never want this; it exists for
+// benchmarking the simulator itself (benchrun -json), where a memo hit
+// would measure a map lookup instead of the model.
 func BenchIPCUncachedCtx(ctx context.Context, bench string, cfg uarch.Config) (uarch.Stats, error) {
-	_, sp := obs.Start(ctx, "ipc",
+	ctx, sp := obs.Start(ctx, "ipc",
 		obs.KV("bench", bench),
 		obs.Int("fe", cfg.FrontWidth), obs.Int("be", cfg.BackWidth),
 		obs.Stage(metrics.StageIPC))
@@ -63,19 +102,11 @@ func BenchIPCUncachedCtx(ctx context.Context, bench string, cfg uarch.Config) (u
 	if w == nil {
 		return uarch.Stats{}, fmt.Errorf("core: unknown benchmark %q", bench)
 	}
-	m, err := w.NewMachine()
+	rec, err := recording(ctx, w)
 	if err != nil {
 		return uarch.Stats{}, err
 	}
-	src := &uarch.MachineSource{M: m, Max: w.MaxInstr}
-	st := uarch.Run(src, cfg)
-	if src.Err != nil {
-		return uarch.Stats{}, fmt.Errorf("core: %s: %w", bench, src.Err)
-	}
-	if err := w.Verify(m); err != nil {
-		return uarch.Stats{}, err
-	}
-	return st, nil
+	return uarch.Run(rec.Replay(), cfg), nil
 }
 
 // Benchmarks returns the benchmark names in reporting order.
