@@ -11,9 +11,9 @@ import (
 // FuzzParseError covers the public client-facing half of the envelope
 // contract: api.ParseError never panics on arbitrary non-2xx bodies
 // and stays in lockstep with the transport-level wire.Parse it
-// re-exports — a drift between the two would let a client and the
-// shard coordinator's HTTP peer disagree about whether an error is
-// retryable (go test -fuzz=FuzzParseError ./biodeg/api).
+// re-exports — a drift between the two would let two clients disagree
+// about whether an error is retryable
+// (go test -fuzz=FuzzParseError ./biodeg/api).
 func FuzzParseError(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`{}`))

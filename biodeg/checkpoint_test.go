@@ -126,3 +126,36 @@ func TestSessionWithoutCheckpointNeedsNoClose(t *testing.T) {
 		t.Errorf("CheckpointStats = %+v, want zero", st)
 	}
 }
+
+// TestJournalDigestPinned pins the session journal's config digest. A
+// journal header stores it, so any change to the digest's keys or
+// encoding would make every journal already on disk fail to reopen.
+func TestJournalDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+		want string
+	}{
+		{"zero", config.Config{}, "3713031193a15100"},
+		{"partial", config.Config{PartialResults: true}, "c91b3d9369fa9058"},
+	} {
+		if got := journalDigest(tc.cfg); got != tc.want {
+			t.Errorf("%s config: journalDigest = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+
+	// The session writes that digest into its journal header: a journal
+	// opened with the pinned header resumes what the session wrote.
+	dir := t.TempDir()
+	s := New(WithCheckpoint(dir))
+	if _, err := s.bind(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	meta := checkpoint.Meta{Tool: "biodeg", Label: "session", ConfigDigest: "3713031193a15100"}
+	j, _, err := checkpoint.Open(context.Background(), filepath.Join(dir, "journal.bdj"), meta)
+	if err != nil {
+		t.Fatalf("reopening the session journal under the pinned digest: %v", err)
+	}
+	j.Close()
+}

@@ -28,9 +28,7 @@
 // results are ordered by design point — bit-identical to a serial run.
 // Two sessions with different worker counts or tracers coexist in one
 // process; the biodegd daemon serves all its HTTP traffic from one
-// shared Session. A session configured WithCoordinator fans its sweeps'
-// points out to shard peers instead of its own pool; the sweep code
-// path is the same either way. Session.RunExperiments executes
+// shared Session. Session.RunExperiments executes
 // independent paper figures concurrently; Session.MetricsReport renders
 // the per-stage wall-time report (the commands print it under
 // -metrics), and Session.OnProgress registers live progress callbacks.

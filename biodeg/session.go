@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/runner"
 	"repro/internal/runner/metrics"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/uarch"
 )
@@ -49,11 +49,6 @@ type Session struct {
 	cpOnce    sync.Once
 	cpJournal *checkpoint.Journal
 	cpErr     error
-
-	// Sharding (see WithCoordinator). The coordinator builds lazily on
-	// the first sharded sweep.
-	coordOnce sync.Once
-	coord     *shard.Coordinator
 }
 
 // Option configures a Session at New time.
@@ -171,53 +166,6 @@ func WithCheckpoint(dir string) Option {
 	return edit(func(c *config.Config) { c.Checkpoint = dir })
 }
 
-// WithPeers lists worker biodegd base URLs ("http://host:8080") the
-// session's shard coordinator may lease sweep points to. Peers only
-// matter under WithCoordinator(true); the coordinator always keeps an
-// in-process loopback worker besides them, so a sweep completes
-// (slowly) even with every peer down. Workers must run under the same
-// result-shaping knobs (fault spec, partial mode) — a mismatched
-// worker rejects its leases with a config-digest error.
-func WithPeers(urls ...string) Option {
-	if len(urls) == 0 {
-		return func(*Session) {}
-	}
-	urls = append([]string(nil), urls...)
-	return edit(func(c *config.Config) { c.Peers = urls })
-}
-
-// WithCoordinator routes the session's design-space sweeps through the
-// shard coordinator: the grid is partitioned into point-leases
-// dispatched across the loopback worker and the WithPeers workers,
-// with lease-timeout re-dispatch, hedged retries, and per-peer circuit
-// breakers. Merged tables are byte-identical to a local run.
-func WithCoordinator(on bool) Option {
-	return edit(func(c *config.Config) { c.Coordinator = on })
-}
-
-// WithShardBatch sets the coordinator's points-per-lease batch size.
-// n <= 0 means the shard package default. Smaller batches spread load
-// and shrink the re-dispatch unit; larger ones amortize per-lease HTTP
-// and journal overhead.
-func WithShardBatch(n int) Option {
-	return edit(func(c *config.Config) { c.ShardBatch = n })
-}
-
-// WithLeaseTimeout bounds one dispatch of a shard lease; an expired
-// lease is re-dispatched to another peer. d <= 0 means the shard
-// package default.
-func WithLeaseTimeout(d time.Duration) Option {
-	return edit(func(c *config.Config) { c.LeaseTimeout = d })
-}
-
-// WithHedgeAfter sets the coordinator's straggler window: a lease
-// unanswered for d gets a duplicate dispatch on a second peer, first
-// success wins. d == 0 means the shard package default; negative
-// disables hedging.
-func WithHedgeAfter(d time.Duration) Option {
-	return edit(func(c *config.Config) { c.HedgeAfter = d })
-}
-
 // New builds a Session from the given options.
 func New(opts ...Option) *Session {
 	s := &Session{}
@@ -251,17 +199,26 @@ func (s *Session) journal(ctx context.Context) (*checkpoint.Journal, error) {
 		return nil, nil
 	}
 	s.cpOnce.Do(func() {
-		// The digest is shard.Digest — the same binding shard leases carry
-		// — so "safe to resume this journal" and "safe to merge that
-		// worker's points" stay one predicate.
 		meta := checkpoint.Meta{
 			Tool:         "biodeg",
 			Label:        "session",
-			ConfigDigest: shard.Digest(cfg),
+			ConfigDigest: journalDigest(cfg),
 		}
 		s.cpJournal, _, s.cpErr = checkpoint.Open(ctx, filepath.Join(cfg.Checkpoint, "journal.bdj"), meta)
 	})
 	return s.cpJournal, s.cpErr
+}
+
+// journalDigest binds a session journal to the knobs that shape result
+// values: the fault spec and the partial-results mode. Worker count,
+// cache directories, and timeouts do not change values and are not
+// bound. The keys and their encoding are fixed: changing them would
+// orphan every journal already on disk.
+func journalDigest(cfg config.Config) string {
+	return checkpoint.ConfigDigest(map[string]string{
+		"faults":  cfg.Faults,
+		"partial": strconv.FormatBool(cfg.PartialResults),
+	})
 }
 
 // bind attaches the session's configuration (and tracer, injector,
@@ -339,14 +296,14 @@ func (s *Session) Logger() *slog.Logger { return s.logger }
 
 // ALUDepth pipelines the 32-bit complex ALU (CSA multiplier + stallable
 // divider datapath) from 1 to maxStages, reproducing Figure 12. The
-// sweep fans out on the session's worker pool (or its shard peers) and
-// stops early when ctx is cancelled.
+// sweep fans out on the session's worker pool and stops early when ctx
+// is cancelled.
 func (s *Session) ALUDepth(ctx context.Context, t *Technology, maxStages int) ([]ALUPoint, error) {
 	ctx, err := s.bind(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return core.ALUDepthSweep(ctx, t, maxStages, true, 0, s.evaluator(ctx))
+	return core.ALUDepthSweep(ctx, t, maxStages, true, 0)
 }
 
 // CoreDepth sweeps the 9-stage baseline core to maxDepth by repeatedly
@@ -357,7 +314,7 @@ func (s *Session) CoreDepth(ctx context.Context, t *Technology, minDepth, maxDep
 	if err != nil {
 		return nil, err
 	}
-	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true, s.evaluator(ctx))
+	return core.CoreDepthSweep(ctx, t, minDepth, maxDepth, true)
 }
 
 // Widths sweeps the thirty superscalar width configurations
@@ -367,60 +324,7 @@ func (s *Session) Widths(ctx context.Context, t *Technology) ([]WidthPoint, erro
 	if err != nil {
 		return nil, err
 	}
-	return core.WidthSweep(ctx, t, s.evaluator(ctx))
-}
-
-// evaluator picks where a sweep's points run: nil (this process's
-// worker pool) unless the session coordinates, in which case the shard
-// coordinator fans them out to its peers.
-func (s *Session) evaluator(ctx context.Context) core.Evaluator {
-	if config.Get(ctx).Coordinator {
-		return s.sharder().Evaluate
-	}
-	return nil
-}
-
-// sharder lazily builds the session's shard coordinator: the loopback
-// worker first, then one HTTP peer per WithPeers URL, with the
-// session's batch/lease/hedge knobs frozen at first use (matching the
-// Session's immutable-after-New contract).
-func (s *Session) sharder() *shard.Coordinator {
-	s.coordOnce.Do(func() {
-		cfg := s.config()
-		peers := []shard.Peer{shard.Local{}}
-		for _, u := range cfg.Peers {
-			peers = append(peers, shard.NewHTTPPeer(u, nil))
-		}
-		s.coord = shard.New(shard.Options{
-			Batch:        cfg.ShardBatch,
-			LeaseTimeout: cfg.LeaseTimeout,
-			HedgeAfter:   cfg.HedgeAfter,
-		}, peers...)
-	})
-	return s.coord
-}
-
-// ShardExec evaluates one shard lease in this process — the worker
-// half of the coordinator/worker layer, served by biodegd at
-// POST /v1/shards/exec. The leased points run on the session's worker
-// pool under its full posture (faults, retries, checkpoint journal)
-// with the same per-point keys an in-process sweep uses.
-func (s *Session) ShardExec(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
-	ctx, err := s.bind(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return shard.Exec(ctx, req)
-}
-
-// ShardStatus reports the session coordinator's configuration, lease
-// counters, and per-peer breaker state (GET /v1/shardz). A session not
-// configured WithCoordinator(true) reports Enabled=false.
-func (s *Session) ShardStatus() ShardStatus {
-	if !s.config().Coordinator {
-		return ShardStatus{}
-	}
-	return s.sharder().Status()
+	return core.WidthSweep(ctx, t)
 }
 
 // SimulateIPC runs one benchmark through the cycle-level core model,
@@ -495,13 +399,4 @@ type (
 	WidthPoint = core.WidthPoint
 	// Stats is the cycle-level simulation statistics bundle.
 	Stats = uarch.Stats
-
-	// ShardRequest is one point-lease of a sweep grid (the body of
-	// POST /v1/shards/exec); ShardResult is its evaluated points, and
-	// ShardPoint one of them. ShardStatus is the coordinator's
-	// introspection document (GET /v1/shardz).
-	ShardRequest = shard.Request
-	ShardResult  = shard.Result
-	ShardPoint   = shard.PointResult
-	ShardStatus  = shard.Status
 )

@@ -53,16 +53,13 @@ func mustBind(t *testing.T, s *Session) context.Context {
 // TestSessionOptionResolution checks each config-backed option edits
 // exactly its own field: a session built with one option resolves to
 // the process default with that field changed and every other field
-// inherited. WithFaults with a disabled spec and WithPeers with no URLs
-// change nothing.
+// inherited. WithFaults with a disabled spec changes nothing.
 func TestSessionOptionResolution(t *testing.T) {
 	old := config.Default()
 	defer config.SetDefault(old)
 	base := config.Config{
 		Workers: 7, LibCache: "/tmp/x", Retries: 1, RetryBase: time.Millisecond,
 		StageTimeout: time.Second, Checkpoint: "/tmp/ckpt",
-		Peers: []string{"http://a"}, ShardBatch: 3,
-		LeaseTimeout: time.Minute, HedgeAfter: 2 * time.Second,
 	}
 	config.SetDefault(base)
 	spec, err := ParseFaults("seed=1,rate=0.1,kinds=error")
@@ -82,12 +79,6 @@ func TestSessionOptionResolution(t *testing.T) {
 		{"WithRetries", WithRetries(5), func(c *config.Config) { c.Retries = 5 }},
 		{"WithStageTimeout", WithStageTimeout(time.Hour), func(c *config.Config) { c.StageTimeout = time.Hour }},
 		{"WithCheckpoint", WithCheckpoint(""), func(c *config.Config) { c.Checkpoint = "" }},
-		{"WithPeers", WithPeers("http://b", "http://c"), func(c *config.Config) { c.Peers = []string{"http://b", "http://c"} }},
-		{"WithPeers/none", WithPeers(), func(*config.Config) {}},
-		{"WithCoordinator", WithCoordinator(true), func(c *config.Config) { c.Coordinator = true }},
-		{"WithShardBatch", WithShardBatch(9), func(c *config.Config) { c.ShardBatch = 9 }},
-		{"WithLeaseTimeout", WithLeaseTimeout(time.Second), func(c *config.Config) { c.LeaseTimeout = time.Second }},
-		{"WithHedgeAfter", WithHedgeAfter(-1), func(c *config.Config) { c.HedgeAfter = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

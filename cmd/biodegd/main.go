@@ -7,7 +7,7 @@
 //	biodegd [-addr :8080] [-max-inflight N] [-cache N]
 //	        [-request-timeout 5m] [-drain-timeout 30s]
 //	        [-breaker-threshold N] [-breaker-cooldown 5s]
-//	        [-jobs DIR] [-coordinator] [common flags]
+//	        [-jobs DIR] [common flags]
 //
 // Endpoints:
 //
@@ -23,8 +23,6 @@
 //	GET  /v1/jobs                    list durable jobs (?limit=&after=&state=)
 //	GET  /v1/jobs/{id}               job progress and result
 //	GET  /v1/progress                Server-Sent Events progress stream
-//	POST /v1/shards/exec             evaluate one shard lease (worker side)
-//	GET  /v1/shardz                  coordinator lease/hedge/peer status
 //	GET  /debug/pprof/               runtime profiles
 //
 // Every non-2xx response from a /v1/* route is the versioned
@@ -41,15 +39,12 @@
 // requests (bounded by -drain-timeout) before exit, then prints the
 // -metrics report and writes any requested trace/manifest sinks.
 //
-// With -coordinator the daemon shards its sweeps: the grid is cut into
-// batched point leases dispatched to the worker daemons named by
-// -peers (each serving POST /v1/shards/exec) plus an in-process
-// loopback worker, with lease re-dispatch on timeout, hedged retries
-// after -hedge-after, and a per-peer circuit breaker. Leases are bound
-// to the coordinator's config digest — a worker running under a
-// different fault/partial configuration rejects them with 409
-// config_mismatch. With -checkpoint the coordinator journals completed
-// leases, so a killed coordinator resumes without re-dispatching them.
+// With -checkpoint DIR every sweep journals its completed grid points,
+// so a restarted daemon replays them instead of recomputing. The
+// journal is bound to the result-shaping knobs (-faults, -partial): a
+// daemon restarted over the same directory with different knobs
+// answers its computations with 409 config_mismatch rather than mixing
+// incompatible points.
 //
 // With -jobs DIR the daemon keeps a durable job store: POST /v1/jobs
 // returns an ID immediately, the computation journals every completed
@@ -96,7 +91,6 @@ func main() {
 	brkThreshold := flag.Int("breaker-threshold", 0, "consecutive engine failures opening the circuit breaker, 0 = default, -1 = disabled")
 	brkCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker rest before the half-open probe, 0 = default")
 	jobDir := flag.String("jobs", "", "directory backing the durable job store; empty disables /v1/jobs")
-	coordinator := flag.Bool("coordinator", false, "shard sweeps across the -peers workers (plus an in-process loopback worker)")
 	flag.Parse()
 
 	run, runCtx, err := opts.Start("biodegd")
@@ -106,10 +100,9 @@ func main() {
 	}
 
 	// One shared session serves every request. Start installed the
-	// common flags (workers, library cache, peers, lease knobs) as the
-	// process default the session reads; only the sharding role is
-	// daemon-specific.
-	session := biodeg.New(biodeg.WithCoordinator(*coordinator))
+	// common flags (workers, library cache, resilience, checkpoint) as
+	// the process default the session reads.
+	session := biodeg.New()
 	srv := server.New(server.NewSessionEngine(session), server.Options{
 		MaxInflight:      *maxInflight,
 		CacheSize:        *cacheSize,

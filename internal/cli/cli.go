@@ -29,7 +29,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -56,12 +55,6 @@ type Options struct {
 
 	// Durability flag.
 	Checkpoint string // -checkpoint / BIODEG_CHECKPOINT
-
-	// Sharding flags (see internal/shard; biodegd adds -coordinator).
-	Peers        string        // -peers         / BIODEG_PEERS (comma-separated URLs)
-	ShardBatch   int           // -shard-batch   / BIODEG_SHARD_BATCH
-	LeaseTimeout time.Duration // -lease-timeout / BIODEG_LEASE_TIMEOUT
-	HedgeAfter   time.Duration // -hedge-after   / BIODEG_HEDGE_AFTER
 
 	// Logging flags.
 	LogFormat string // -log-format / BIODEG_LOG_FORMAT (text|json)
@@ -128,14 +121,6 @@ func Register(fs *flag.FlagSet) *Options {
 		"annotate failed grid points and keep sweeping instead of aborting; implied by -faults (env BIODEG_PARTIAL)")
 	fs.StringVar(&o.Checkpoint, "checkpoint", os.Getenv("BIODEG_CHECKPOINT"),
 		"directory holding the crash-safe sweep journal; a rerun with the same directory resumes, skipping journaled points (env BIODEG_CHECKPOINT)")
-	fs.StringVar(&o.Peers, "peers", os.Getenv("BIODEG_PEERS"),
-		"comma-separated worker biodegd base URLs for sharded sweeps, e.g. http://w1:8080,http://w2:8080 (env BIODEG_PEERS)")
-	fs.IntVar(&o.ShardBatch, "shard-batch", envInt("BIODEG_SHARD_BATCH", 0),
-		"sweep points per shard lease, 0 = default (env BIODEG_SHARD_BATCH)")
-	fs.DurationVar(&o.LeaseTimeout, "lease-timeout", envDuration("BIODEG_LEASE_TIMEOUT", 0),
-		"time bound on one shard lease dispatch before re-dispatch, 0 = default (env BIODEG_LEASE_TIMEOUT)")
-	fs.DurationVar(&o.HedgeAfter, "hedge-after", envDuration("BIODEG_HEDGE_AFTER", 0),
-		"straggler window before a duplicate lease dispatch, 0 = default, negative = off (env BIODEG_HEDGE_AFTER)")
 	fs.StringVar(&o.LogFormat, "log-format", envOr("BIODEG_LOG_FORMAT", "text"),
 		"structured log encoding: text or json (env BIODEG_LOG_FORMAT)")
 	fs.StringVar(&o.LogLevel, "log-level", envOr("BIODEG_LOG_LEVEL", "info"),
@@ -223,23 +208,7 @@ func (o *Options) configWith(spec fault.Spec) config.Config {
 		PartialResults: o.Partial || spec.Enabled(),
 		Faults:         spec.String(),
 		Checkpoint:     o.Checkpoint,
-		Peers:          splitPeers(o.Peers),
-		ShardBatch:     o.ShardBatch,
-		LeaseTimeout:   o.LeaseTimeout,
-		HedgeAfter:     o.HedgeAfter,
 	}
-}
-
-// splitPeers parses the comma-separated -peers value, dropping empty
-// elements so trailing commas and a blank flag are both harmless.
-func splitPeers(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
 }
 
 // Start applies the parsed options — installing them as the process
@@ -290,22 +259,8 @@ func (o *Options) Start(tool string) (*Run, context.Context, error) {
 			}
 			return ""
 		}(),
-		"BIODEG_PARTIAL":     boolEnv(cfg.PartialResults),
-		"BIODEG_CHECKPOINT":  cfg.Checkpoint,
-		"BIODEG_PEERS":       strings.Join(cfg.Peers, ","),
-		"BIODEG_SHARD_BATCH": positive(cfg.ShardBatch),
-		"BIODEG_LEASE_TIMEOUT": func() string {
-			if cfg.LeaseTimeout > 0 {
-				return cfg.LeaseTimeout.String()
-			}
-			return ""
-		}(),
-		"BIODEG_HEDGE_AFTER": func() string {
-			if cfg.HedgeAfter != 0 {
-				return cfg.HedgeAfter.String()
-			}
-			return ""
-		}(),
+		"BIODEG_PARTIAL":    boolEnv(cfg.PartialResults),
+		"BIODEG_CHECKPOINT": cfg.Checkpoint,
 		"BIODEG_LOG_FORMAT": o.LogFormat,
 		"BIODEG_LOG_LEVEL":  o.LogLevel,
 	})

@@ -54,27 +54,6 @@ type Config struct {
 	// finished experiments are replayed bit-identically instead of
 	// recomputed.
 	Checkpoint string
-
-	// Sharding knobs (see internal/shard). These shape execution, not
-	// result values, so none of them participate in the config digest.
-
-	// Peers lists worker biodegd base URLs the shard coordinator
-	// dispatches sweep leases to (empty = no remote peers).
-	Peers []string
-	// Coordinator routes the design-space sweeps through the shard
-	// coordinator (loopback worker plus Peers) instead of the local
-	// worker pool.
-	Coordinator bool
-	// ShardBatch is the points-per-lease batch size; <= 0 means the
-	// shard package default.
-	ShardBatch int
-	// LeaseTimeout bounds one lease dispatch before it is re-dispatched
-	// to another peer; <= 0 means the shard package default.
-	LeaseTimeout time.Duration
-	// HedgeAfter launches a duplicate lease on a second peer when the
-	// first has not answered within this window (first success wins);
-	// 0 means the shard package default, negative disables hedging.
-	HedgeAfter time.Duration
 }
 
 // DefaultRetryBase is the backoff window base when RetryBase is unset:

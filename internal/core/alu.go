@@ -46,24 +46,21 @@ func aluResult(ctx context.Context, t *Tech, wire bool) (*sta.Result, error) {
 // report frequency and area at each depth. wire selects the wire-delay
 // mode (off for the Figure 15 ablation) and feedbackK the feedback-wire
 // constant (0 = the pipeline default; the causal-mechanism ablation
-// knob). eval nil evaluates in this process: the ALU is analyzed once
-// (cached) and each depth partitions independently on the worker pool,
-// so the result is bit-identical to a serial loop. A non-nil eval (the
-// shard coordinator) computes the points instead; it can evaluate only
-// the wire-on, default-constant grid. The whole sweep runs under one
-// "sweep:aludepth" span. Each point is a fault-injection site
-// ("alu-point:tech:wire:nK"); under config.PartialResults a failed
-// point is returned with its Err annotation instead of aborting the
-// sweep.
-func ALUDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, feedbackK float64, eval Evaluator) ([]pipeline.Point, error) {
+// knob). The ALU is analyzed once (cached) and each depth partitions
+// independently on the worker pool, so the result is bit-identical to
+// a serial loop. The whole sweep runs under one "sweep:aludepth" span.
+// Each point is a fault-injection site ("alu-point:tech:wire:nK");
+// under config.PartialResults a failed point is returned with its Err
+// annotation instead of aborting the sweep.
+func ALUDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, feedbackK float64) ([]pipeline.Point, error) {
 	ctx, sp := obs.Start(ctx, "sweep:aludepth", obs.KV("tech", t.Name),
-		obs.Bool("wire", wire), obs.Int("max_stages", maxStages), obs.Bool("sharded", eval != nil))
+		obs.Bool("wire", wire), obs.Int("max_stages", maxStages))
 	defer sp.End()
 	g, err := aluGrid(t, maxStages, wire, feedbackK)
 	if err != nil {
 		return nil, err
 	}
-	pts, errs, err := evaluate[pipeline.Point](ctx, g, eval)
+	pts, errs, err := evaluate(ctx, g)
 	if err != nil {
 		return nil, err
 	}
@@ -76,11 +73,10 @@ func ALUDepthSweep(ctx context.Context, t *Tech, maxStages int, wire bool, feedb
 }
 
 // aluGrid is the Figure 12 lattice: one point (and one checkpoint
-// record) per depth 1..maxStages, so a resumed or remotely-evaluated
-// sweep replays journaled depths bit-identically. The shared ALU
-// analysis is resolved lazily inside Eval, so building the grid costs
-// nothing.
-func aluGrid(t *Tech, maxStages int, wire bool, feedbackK float64) (*Grid, error) {
+// record) per depth 1..maxStages, so a resumed sweep replays journaled
+// depths bit-identically. The shared ALU analysis is resolved lazily
+// inside Eval, so building the grid costs nothing.
+func aluGrid(t *Tech, maxStages int, wire bool, feedbackK float64) (*grid[pipeline.Point], error) {
 	if maxStages <= 0 {
 		return nil, fmt.Errorf("alu-depth grid: max_stages %d out of range", maxStages)
 	}
@@ -106,11 +102,7 @@ func aluGrid(t *Tech, maxStages int, wire bool, feedbackK float64) (*Grid, error
 		return checkpoint.PointID("alu", t.Name, wireTag(wire),
 			"k"+strconv.FormatFloat(feedbackK, 'g', -1, 64), "n"+strconv.Itoa(i+1))
 	}
-	return &Grid{
-		Kind: GridALUDepth, Tech: t.Name, Wire: wire, FeedbackK: feedbackK,
-		MaxStages: maxStages, N: maxStages,
-		Key: key, Eval: checkpointed(key, point),
-	}, nil
+	return &grid[pipeline.Point]{N: maxStages, Eval: checkpointed(key, point)}, nil
 }
 
 // wireTag names the wire mode inside fault-site identities.

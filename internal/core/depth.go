@@ -41,13 +41,12 @@ type DepthPoint struct {
 // previous critical path), so the cheap timing walk runs first, once,
 // in this process; the expensive part — seven benchmark IPC
 // simulations per depth — is the grid of depth x benchmark points,
-// evaluated on the worker pool when eval is nil and by eval (the shard
-// coordinator, wire mode only) otherwise. Results are assembled by
-// index and are bit-identical to the serial sweep.
-func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool, eval Evaluator) ([]DepthPoint, error) {
+// evaluated on the worker pool. Results are assembled by index and are
+// bit-identical to the serial sweep.
+func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire bool) ([]DepthPoint, error) {
 	ctx, sweepSpan := obs.Start(ctx, "sweep:coredepth",
 		obs.KV("tech", t.Name), obs.Bool("wire", wire),
-		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth), obs.Bool("sharded", eval != nil))
+		obs.Int("min_depth", minDepth), obs.Int("max_depth", maxDepth))
 	defer sweepSpan.End()
 	g, err := depthGrid(t, minDepth, maxDepth, wire)
 	if err != nil {
@@ -57,7 +56,7 @@ func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire b
 	if err != nil {
 		return nil, err
 	}
-	stats, errs, err := evaluate[uarch.Stats](ctx, g, eval)
+	stats, errs, err := evaluate(ctx, g)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +82,7 @@ func CoreDepthSweep(ctx context.Context, t *Tech, minDepth, maxDepth int, wire b
 // recomputes deterministically on resume; keys need only arithmetic.
 // Each point is a grid-point span and a fault-injection site
 // ("depth-point:tech:wire:dN:bench").
-func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) (*Grid, error) {
+func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) (*grid[uarch.Stats], error) {
 	if maxDepth < minDepth || minDepth <= 0 {
 		return nil, fmt.Errorf("core-depth grid: depth bounds [%d, %d] out of range", minDepth, maxDepth)
 	}
@@ -112,11 +111,17 @@ func depthGrid(t *Tech, minDepth, maxDepth int, wire bool) (*Grid, error) {
 		}
 		return depthPairEval(ctx, t, wire, pts[i/len(benches)], benches[i%len(benches)])
 	}
-	return &Grid{
-		Kind: GridCoreDepth, Tech: t.Name, Wire: wire,
-		MinDepth: minDepth, MaxDepth: maxDepth, N: n,
-		Key: key, Eval: checkpointed(key, point), skeleton: skeleton,
-	}, nil
+	return &grid[uarch.Stats]{N: n, Eval: checkpointed(key, point), skeleton: skeleton}, nil
+}
+
+// depthFirst is the first depth the skeleton emits: the baseline stage
+// count when minDepth asks for less (the walk cannot go shallower than
+// the uncut baseline).
+func depthFirst(minDepth int) int {
+	if minDepth < int(numStages) {
+		return int(numStages)
+	}
+	return minDepth
 }
 
 // depthSkeleton runs the paper's serial cut-placement walk: starting

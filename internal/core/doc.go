@@ -11,14 +11,12 @@
 // the per-figure registry that cmd/replicate walks, and RunExperiments
 // executes a slice of it concurrently.
 //
-// Each of the three design-space sweeps is one Grid (point count,
-// per-point checkpoint key, evaluator) and one entry point taking an
-// Evaluator: nil fans the independent design points out over the
-// bounded worker pool in internal/runner, honoring context
-// cancellation; the shard coordinator's Evaluate computes them on
-// peers instead. Results are ordered by design point, never by
-// completion, so either way a sweep is bit-identical to the serial
-// loop it replaced.
+// Each of the three design-space sweeps is one grid (point count,
+// per-point checkpoint key, evaluator) whose independent design points
+// fan out over the bounded worker pool in internal/runner, honoring
+// context cancellation. Results are ordered by design point, never by
+// completion, so a sweep is bit-identical to the serial loop it
+// replaced at any worker count.
 //
 // Concurrency and caching contract: heavy intermediates (characterized
 // technologies, analyzed stage and ALU netlists, per-configuration

@@ -40,7 +40,7 @@ func EnergySweep(t *Tech, minDepth, maxDepth int) ([]EnergyPoint, error) {
 // EnergySweepCtx is EnergySweep with cancellation and span parenting
 // for the underlying depth sweep.
 func EnergySweepCtx(ctx context.Context, t *Tech, minDepth, maxDepth int) ([]EnergyPoint, error) {
-	pts, err := CoreDepthSweep(ctx, t, minDepth, maxDepth, true, nil)
+	pts, err := CoreDepthSweep(ctx, t, minDepth, maxDepth, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,7 @@
 // Golden-conformance suite: committed renderings of the cheap
 // experiments (testdata/golden/*.tbl) pin the exact bytes every
-// execution style must produce, and the style matrix proves the
-// serial reference evaluator, the in-process pool, the batched kernel
-// (EvalPointsBatch), the shard-merged coordinator, and a
+// execution style must produce, and the style matrix proves a serial
+// (one-worker) sweep, the same sweep on a pool of four workers, and a
 // checkpoint-resumed run agree byte for byte. The suite is the safety
 // net under hot-path kernel changes: an optimization that perturbs
 // float evaluation order or point enumeration fails here, not in a
@@ -20,7 +19,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -28,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/runner"
-	"repro/internal/shard"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.tbl from this run")
@@ -94,50 +91,23 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-// execPeer is an in-process worker: leases evaluate through the real
-// shard.Exec path (grid rebuild, bounds normalization, batched
-// kernel), exactly like a remote biodegd would.
-type execPeer struct{ name string }
-
-func (p execPeer) Name() string { return p.name }
-func (p execPeer) Exec(ctx context.Context, req *shard.Request) (*shard.Result, error) {
-	return shard.Exec(ctx, req)
+// styleSweep is one conformance subject: a sweep kind and its entry
+// point, whose output must not depend on how its points are scheduled.
+type styleSweep struct {
+	kind string
+	run  func(ctx context.Context, tech *core.Tech) (any, error)
 }
 
-// styleGrid is one conformance subject: a grid plus its sweep entry,
-// whose output must agree across evaluators.
-type styleGrid struct {
-	kind                          string
-	maxStages, minDepth, maxDepth int
-	// run calls the kind's sweep entry over eval (nil = in process).
-	run func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error)
-}
-
-var styleGrids = []styleGrid{
-	{
-		kind: core.GridALUDepth, maxStages: 30,
-		run: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.ALUDepthSweep(ctx, tech, 30, true, 0, eval)
-		},
-	},
-	{
-		kind: core.GridWidth,
-		run: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.WidthSweep(ctx, tech, eval)
-		},
-	},
-	{
-		kind: core.GridCoreDepth, minDepth: 9, maxDepth: 11,
-		run: func(ctx context.Context, tech *core.Tech, eval core.Evaluator) (any, error) {
-			return core.CoreDepthSweep(ctx, tech, 9, 11, true, eval)
-		},
-	},
-}
-
-// twoWorkers is a coordinator over two in-process exec peers, with
-// leases small enough that every grid spans several of them.
-func twoWorkers() *shard.Coordinator {
-	return shard.New(shard.Options{Batch: 5, HedgeAfter: -1}, execPeer{"w1"}, execPeer{"w2"})
+var styleSweeps = []styleSweep{
+	{"alu-depth", func(ctx context.Context, tech *core.Tech) (any, error) {
+		return core.ALUDepthSweep(ctx, tech, 30, true, 0)
+	}},
+	{"width", func(ctx context.Context, tech *core.Tech) (any, error) {
+		return core.WidthSweep(ctx, tech)
+	}},
+	{"core-depth", func(ctx context.Context, tech *core.Tech) (any, error) {
+		return core.CoreDepthSweep(ctx, tech, 9, 11, true)
+	}},
 }
 
 // mustJSON is the byte-for-byte witness: two results that marshal to
@@ -152,80 +122,37 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestGoldenExecutionStyles is the conformance matrix: for each sweep
-// grid, the serial reference evaluator, the batched kernel, and the
-// shard-merged coordinator must return identical point sets, and the
-// sweep entry must assemble the same bytes in process (nil evaluator)
-// as over each of them.
+// TestGoldenExecutionStyles is the conformance matrix: each sweep kind
+// run on one worker (the serial reference) and on a pool of four
+// marshals to identical bytes.
 func TestGoldenExecutionStyles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
 	}
-	ctx := context.Background()
 	tech := core.SiliconTech()
-	for _, sg := range styleGrids {
-		t.Run(sg.kind, func(t *testing.T) {
-			g, err := core.SweepGrid(ctx, sg.kind, tech, sg.maxStages, sg.minDepth, sg.maxDepth)
+	serial := config.WithContext(context.Background(), config.Config{Workers: 1})
+	pooled := config.WithContext(context.Background(), config.Config{Workers: 4})
+	for _, ss := range styleSweeps {
+		t.Run(ss.kind, func(t *testing.T) {
+			want, err := ss.run(serial, tech)
 			if err != nil {
 				t.Fatal(err)
 			}
-			indices := make([]int, g.N)
-			for i := range indices {
-				indices[i] = i
-			}
-
-			// Point level: serial vs batched vs shard-merged.
-			serial, err := core.EvalLocal(ctx, g, indices)
+			got, err := ss.run(pooled, tech)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := core.EvalPointsBatch(ctx, g, indices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coord := twoWorkers()
-			merged, err := coord.Evaluate(ctx, g, indices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, batched) {
-				t.Errorf("batched kernel diverged from serial reference")
-			}
-			if !reflect.DeepEqual(serial, merged) {
-				t.Errorf("shard-merged evaluation diverged from serial reference")
-			}
-
-			// Assembly level: the in-process sweep and the sweep over
-			// each evaluator marshal to the same bytes.
-			local, err := sg.run(ctx, tech, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := mustJSON(t, local)
-			for _, style := range []struct {
-				name string
-				eval core.Evaluator
-			}{
-				{"serial", core.EvalLocal},
-				{"batched", core.EvalPointsBatch},
-				{"sharded", coord.Evaluate},
-			} {
-				got, err := sg.run(ctx, tech, style.eval)
-				if err != nil {
-					t.Fatalf("%s assembly: %v", style.name, err)
-				}
-				if !bytes.Equal(mustJSON(t, got), want) {
-					t.Errorf("%s assembly bytes diverged from the in-process sweep", style.name)
-				}
+			if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+				t.Errorf("4-worker sweep bytes diverged from the serial reference")
 			}
 		})
 	}
 }
 
 // TestGoldenPartialResultsStyles drives the partial-results posture
-// through the coordinator: under the same seeded fault injection, each
-// sweep kind annotates the same failed points with the same labels
-// whether it evaluates in process or over two shard workers.
+// through both schedules: under the same seeded fault injection, each
+// sweep kind annotates the same failed points with the same labels on
+// one worker and on four, and at least one point is annotated.
 func TestGoldenPartialResultsStyles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweeps are expensive")
@@ -235,24 +162,26 @@ func TestGoldenPartialResultsStyles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := config.WithContext(context.Background(), config.Config{Workers: 4, PartialResults: true})
-	ctx = fault.WithInjector(ctx, fault.New(spec))
-	for _, sg := range styleGrids {
-		t.Run(sg.kind, func(t *testing.T) {
-			local, err := sg.run(ctx, tech, nil)
+	chaos := func(workers int) context.Context {
+		ctx := config.WithContext(context.Background(), config.Config{Workers: workers, PartialResults: true})
+		return fault.WithInjector(ctx, fault.New(spec))
+	}
+	for _, ss := range styleSweeps {
+		t.Run(ss.kind, func(t *testing.T) {
+			serial, err := ss.run(chaos(1), tech)
 			if err != nil {
-				t.Fatalf("in-process partial sweep aborted: %v", err)
+				t.Fatalf("serial partial sweep aborted: %v", err)
 			}
-			want := mustJSON(t, local)
+			want := mustJSON(t, serial)
 			if !bytes.Contains(want, []byte(fault.ErrInjected.Error())) {
 				t.Fatal("rate=0.3 annotated no point")
 			}
-			sharded, err := sg.run(ctx, tech, twoWorkers().Evaluate)
+			pooled, err := ss.run(chaos(4), tech)
 			if err != nil {
-				t.Fatalf("sharded partial sweep aborted: %v", err)
+				t.Fatalf("4-worker partial sweep aborted: %v", err)
 			}
-			if got := mustJSON(t, sharded); !bytes.Equal(got, want) {
-				t.Errorf("sharded partial sweep diverged from the in-process one\n got %s\nwant %s", got, want)
+			if got := mustJSON(t, pooled); !bytes.Equal(got, want) {
+				t.Errorf("4-worker partial sweep diverged from the serial one\n got %s\nwant %s", got, want)
 			}
 		})
 	}
@@ -267,7 +196,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	}
 	tech := core.SiliconTech()
 	base := config.WithContext(context.Background(), config.Config{Workers: 4})
-	cold, err := core.ALUDepthSweep(base, tech, 12, true, 0, nil)
+	cold, err := core.ALUDepthSweep(base, tech, 12, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +207,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl), tech, 12, true, 0, nil)
+	first, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl), tech, 12, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +221,7 @@ func TestGoldenCheckpointResume(t *testing.T) {
 	if rec.Records != 12 {
 		t.Fatalf("recovered %d journal records, want 12", rec.Records)
 	}
-	resumed, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl2), tech, 12, true, 0, nil)
+	resumed, err := core.ALUDepthSweep(runner.WithCheckpoint(base, jnl2), tech, 12, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

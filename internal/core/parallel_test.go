@@ -47,7 +47,7 @@ func TestWidthSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := WidthSweep(context.Background(), tech, nil)
+	got, err := WidthSweep(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestDepthSweepDeterministic(t *testing.T) {
 		t.Skip("design-space sweeps are expensive")
 	}
 	tech := SiliconTech()
-	a, err := CoreDepthSweep(context.Background(), tech, 9, 12, true, nil)
+	a, err := CoreDepthSweep(context.Background(), tech, 9, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := config.WithContext(context.Background(), config.Config{Workers: 1})
-	b, err := CoreDepthSweep(serial, tech, 9, 12, true, nil)
+	b, err := CoreDepthSweep(serial, tech, 9, 12, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := WidthSweep(ctx, tech, nil); !errors.Is(err, context.Canceled) {
+	if _, err := WidthSweep(ctx, tech); !errors.Is(err, context.Canceled) {
 		t.Fatalf("WidthSweep err = %v, want context.Canceled", err)
 	}
-	if _, err := CoreDepthSweep(ctx, tech, 9, 15, true, nil); !errors.Is(err, context.Canceled) {
+	if _, err := CoreDepthSweep(ctx, tech, 9, 15, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CoreDepthSweep err = %v, want context.Canceled", err)
 	}
-	if _, err := ALUDepthSweep(ctx, tech, 30, true, 0, nil); !errors.Is(err, context.Canceled) {
+	if _, err := ALUDepthSweep(ctx, tech, 30, true, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ALUDepthSweep err = %v, want context.Canceled", err)
 	}
 	if _, err := RunExperiments(ctx, Experiments()); !errors.Is(err, context.Canceled) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/cells"
 	"repro/internal/liberty"
 	"repro/internal/runner"
@@ -46,6 +48,20 @@ func SiliconTech() *Tech { return newTech(cells.Silicon()) }
 // BothTechs returns the two technologies in reporting order
 // (silicon first, as the paper's figure panels do).
 func BothTechs() []*Tech { return []*Tech{SiliconTech(), OrganicTech()} }
+
+// TechByName resolves a technology by its wire name ("" means organic,
+// matching the sweep-request default). The cell library's canonical
+// name ("silicon45") is accepted too: a sweep response reports that
+// name, so a client posting it back gets the same technology.
+func TechByName(name string) (*Tech, error) {
+	switch name {
+	case "organic", "":
+		return OrganicTech(), nil
+	case "silicon", "silicon45":
+		return SiliconTech(), nil
+	}
+	return nil, fmt.Errorf("unknown technology %q (want organic or silicon)", name)
+}
 
 // DFF returns the technology's characterized flip-flop.
 func (t *Tech) DFF() *liberty.Cell { return t.Lib.MustCell("DFF") }

@@ -22,10 +22,10 @@ func TestSweepTraceShape(t *testing.T) {
 	tech := SiliconTech() // characterize outside the trace
 	obs.Enable()
 	defer obs.Disable()
-	if _, err := CoreDepthSweep(context.Background(), tech, 9, 10, true, nil); err != nil {
+	if _, err := CoreDepthSweep(context.Background(), tech, 9, 10, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ALUDepthSweep(context.Background(), tech, 3, true, 0, nil); err != nil {
+	if _, err := ALUDepthSweep(context.Background(), tech, 3, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.Collect()

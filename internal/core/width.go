@@ -35,15 +35,14 @@ type WidthPoint struct {
 // WidthSweep synthesizes the thirty width configurations of the paper
 // (front-end width 1-6 x back-end pipes 3-7) at the 9-stage baseline
 // depth and reports period, area, and benchmark-averaged performance.
-// Every (front, back) configuration is independent: with eval nil the
-// whole grid fans out over the worker pool (shared stage analyses and
-// benchmark simulations are deduplicated by the per-key memo caches),
-// otherwise eval (the shard coordinator) computes it. Results come back
-// in the serial sweep's (back-major) order.
-func WidthSweep(ctx context.Context, t *Tech, eval Evaluator) ([]WidthPoint, error) {
-	ctx, sweepSpan := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name), obs.Bool("sharded", eval != nil))
+// Every (front, back) configuration is independent: the whole grid fans
+// out over the worker pool (shared stage analyses and benchmark
+// simulations are deduplicated by the per-key memo caches). Results
+// come back in the serial sweep's (back-major) order.
+func WidthSweep(ctx context.Context, t *Tech) ([]WidthPoint, error) {
+	ctx, sweepSpan := obs.Start(ctx, "sweep:width", obs.KV("tech", t.Name))
 	defer sweepSpan.End()
-	pts, errs, err := evaluate[WidthPoint](ctx, widthGrid(t), eval)
+	pts, errs, err := evaluate(ctx, widthGrid(t))
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +58,7 @@ func WidthSweep(ctx context.Context, t *Tech, eval Evaluator) ([]WidthPoint, err
 // widthGrid is the Figures 13-14 lattice: one point (and one checkpoint
 // record) per (front, back) configuration, enumerated in the serial
 // sweep's back-major order.
-func widthGrid(t *Tech) *Grid {
+func widthGrid(t *Tech) *grid[WidthPoint] {
 	point := func(ctx context.Context, i int) (WidthPoint, error) {
 		fe, be := widthAt(i)
 		ctx, sp := obs.Start(ctx, "width-point", obs.Int("fe", fe), obs.Int("be", be))
@@ -91,10 +90,17 @@ func widthGrid(t *Tech) *Grid {
 		return checkpoint.PointID("width", t.Name,
 			"fe"+strconv.Itoa(fe), "be"+strconv.Itoa(be))
 	}
-	return &Grid{
-		Kind: GridWidth, Tech: t.Name, Wire: true, N: widthN,
-		Key: key, Eval: checkpointed(key, point),
-	}
+	return &grid[WidthPoint]{N: widthN, Eval: checkpointed(key, point)}
+}
+
+// widthN is the width grid's point count (FE 1-6 x BE 3-7).
+const widthN = (MaxBack - MinBack + 1) * (MaxFront - MinFront + 1)
+
+// widthAt maps a flat width-grid index to its (front, back) pair in the
+// serial sweep's back-major order.
+func widthAt(i int) (fe, be int) {
+	const cols = MaxFront - MinFront + 1
+	return MinFront + i%cols, MinBack + i/cols
 }
 
 // Matrix arranges a width sweep into the paper's M[back][front] layout,

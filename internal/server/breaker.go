@@ -24,8 +24,8 @@ func newEngineBreaker(threshold int, cooldown time.Duration) *breaker.Breaker {
 }
 
 // isEngineFailure classifies err for the breaker: engine bugs, injected
-// faults, and timeouts count; client mistakes (400/404), config-digest
-// conflicts (409), and client disconnects do not.
+// faults, and timeouts count; client mistakes (400/404), journal
+// config conflicts (409), and client disconnects do not.
 func isEngineFailure(err error) bool {
 	return err != nil &&
 		!errors.Is(err, ErrBadRequest) &&

@@ -1,6 +1,6 @@
-// Package breaker is a three-state circuit breaker shared by the
-// serving layers that front fallible backends: internal/server wraps
-// one around its engine, and internal/shard keeps one per worker peer.
+// Package breaker is a three-state circuit breaker for serving layers
+// that front a fallible backend: internal/server wraps one around its
+// engine.
 // Threshold consecutive failures trip it open, open requests fast-fail
 // with ErrOpen for a cooldown, then a single half-open probe decides
 // between closing (success) and re-opening (failure).
@@ -179,16 +179,6 @@ func (b *Breaker) trip() {
 	}
 }
 
-// State reports the breaker's current position (Closed for nil).
-func (b *Breaker) State() State {
-	if b == nil {
-		return Closed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // RetryAfter renders the remaining cooldown as whole seconds (>= 1)
 // for the Retry-After header.
 func (b *Breaker) RetryAfter() string {
@@ -205,7 +195,7 @@ func (b *Breaker) RetryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// Status is the reporting snapshot (/v1/faultz, /v1/shardz).
+// Status is the reporting snapshot (/v1/faultz).
 type Status struct {
 	Enabled   bool    `json:"enabled"`
 	State     string  `json:"state"`

@@ -55,8 +55,8 @@ func TestTransitions(t *testing.T) {
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Fatalf("second half-open Allow() = %v, want ErrOpen", err)
 	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if st := b.Status(); st.State != "half-open" {
+		t.Fatalf("state = %q, want half-open", st.State)
 	}
 
 	// Failing probe re-opens.

@@ -8,8 +8,7 @@ import (
 
 	"repro/biodeg"
 	"repro/biodeg/api"
-	"repro/internal/core"
-	"repro/internal/shard"
+	"repro/internal/checkpoint"
 )
 
 // Error classes the handlers map to HTTP statuses. Engine
@@ -22,11 +21,12 @@ var (
 	// ErrNotFound marks a reference to a missing resource (unknown
 	// experiment ID, unknown benchmark) — HTTP 404.
 	ErrNotFound = errors.New("not found")
-	// errConfigMismatch marks a shard lease bound to a different
-	// result-shaping config than this worker's — HTTP 409 with code
-	// config_mismatch. Not an engine failure: the worker is healthy,
-	// the coordinator is misdirected.
-	errConfigMismatch = shard.ErrConfigMismatch
+	// errConfigMismatch marks a checkpoint journal written under
+	// different result-shaping knobs (fault spec, partial mode) than
+	// this daemon's — HTTP 409 with code config_mismatch. Not an engine
+	// failure: the engine is healthy, the -checkpoint directory belongs
+	// to another configuration.
+	errConfigMismatch = checkpoint.ErrConfigMismatch
 )
 
 // Engine is the computation surface the server fronts. The production
@@ -43,9 +43,6 @@ type Engine interface {
 	Sweep(ctx context.Context, kind string, req api.SweepRequest) (*api.SweepResult, error)
 	// Simulate runs one benchmark through the cycle-level core model.
 	Simulate(ctx context.Context, req api.SimulateRequest) (*api.SimulateResult, error)
-	// ShardExec evaluates one sweep point-lease in this process — the
-	// worker half of the shard layer (POST /v1/shards/exec).
-	ShardExec(ctx context.Context, req *api.ShardRequest) (*api.ShardResult, error)
 }
 
 // SessionEngine is the production Engine: every call threads through
@@ -92,8 +89,18 @@ func (e *SessionEngine) RunExperiment(ctx context.Context, id string) (*api.Expe
 func (e *SessionEngine) Sweep(ctx context.Context, kind string, req api.SweepRequest) (*api.SweepResult, error) {
 	// Validate kind and bounds before resolving the technology:
 	// resolution characterizes the cell library on first use, and a
-	// malformed request must not pay (or trigger) that.
-	maxStages, minDepth, maxDepth := core.NormalizeBounds(req.MaxStages, req.MinDepth, req.MaxDepth)
+	// malformed request must not pay (or trigger) that. Unset (<= 0)
+	// bounds default to 12 ALU stages and core depths 9 to 15.
+	maxStages, minDepth, maxDepth := req.MaxStages, req.MinDepth, req.MaxDepth
+	if maxStages <= 0 {
+		maxStages = 12
+	}
+	if minDepth <= 0 {
+		minDepth = 9
+	}
+	if maxDepth <= 0 {
+		maxDepth = 15
+	}
 	switch kind {
 	case api.SweepALUDepth, api.SweepWidth:
 	case api.SweepCoreDepth:
@@ -130,28 +137,6 @@ func (e *SessionEngine) Sweep(ctx context.Context, kind string, req api.SweepReq
 		res.Width = api.FromWidthPoints(pts)
 	}
 	return res, nil
-}
-
-// ShardExec implements Engine: the leased points run on the session's
-// worker pool under its full posture (faults, retries, journal), with
-// the same per-point checkpoint keys a local sweep would use. Shard
-// sentinels map onto the transport's error classes; a config-digest
-// mismatch passes through as errConfigMismatch (409).
-func (e *SessionEngine) ShardExec(ctx context.Context, req *api.ShardRequest) (*api.ShardResult, error) {
-	res, err := e.Session.ShardExec(ctx, req)
-	if err != nil {
-		if errors.Is(err, shard.ErrBadRequest) {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		return nil, err
-	}
-	return res, nil
-}
-
-// ShardStatus exposes the session coordinator's health for
-// GET /v1/shardz (the server feature-detects this method).
-func (e *SessionEngine) ShardStatus() shard.Status {
-	return e.Session.ShardStatus()
 }
 
 // Simulate implements Engine.

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/biodeg"
 	"repro/biodeg/api"
 	"repro/internal/config"
 )
@@ -97,5 +99,52 @@ func TestSessionEngineSimulate(t *testing.T) {
 	}
 	if res.Stats.IPC <= 0 || res.Stats.IPC > 1 {
 		t.Errorf("scalar-core IPC = %v, want (0, 1]", res.Stats.IPC)
+	}
+}
+
+// TestSessionEngineJournalMismatch restarts a daemon's engine over the
+// same checkpoint directory with a different fault spec: the journal
+// refuses the new knobs, and the transport answers 409 config_mismatch
+// without counting an engine failure (the breaker stays untouched).
+func TestSessionEngineJournalMismatch(t *testing.T) {
+	dir := t.TempDir()
+	req := api.SimulateRequest{Bench: "dhrystone"}
+
+	first := biodeg.New(biodeg.WithCheckpoint(dir))
+	if _, err := NewSessionEngine(first).Simulate(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	spec, err := biodeg.ParseFaults("seed=1,rate=0.5,kinds=error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := biodeg.New(biodeg.WithCheckpoint(dir), biodeg.WithFaults(spec))
+	defer restarted.Close()
+	eng := NewSessionEngine(restarted)
+	_, err = eng.Simulate(context.Background(), req)
+	if !errors.Is(err, errConfigMismatch) {
+		t.Fatalf("Simulate over a mismatched journal = %v, want errConfigMismatch", err)
+	}
+	if got := errStatus(err); got != http.StatusConflict {
+		t.Errorf("errStatus = %d, want 409", got)
+	}
+	if isEngineFailure(err) {
+		t.Error("a journal config mismatch counted as an engine failure")
+	}
+
+	s, ts := newTestServer(t, eng, Options{})
+	resp := post(t, ts.URL+"/v1/simulate", `{"bench":"dhrystone"}`)
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("POST /v1/simulate: status %d, want 409 (%s)", resp.StatusCode, slurp(t, resp))
+	}
+	if e := parseEnvelope(t, resp); e.Code != api.CodeConfigMismatch {
+		t.Errorf("code %q, want %q", e.Code, api.CodeConfigMismatch)
+	}
+	if n := s.engineErrs.Load(); n != 0 {
+		t.Errorf("engine errors = %d after a journal mismatch, want 0", n)
 	}
 }

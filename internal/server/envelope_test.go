@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/biodeg/api"
-	"repro/internal/shard"
 )
 
 // parseEnvelope asserts a non-2xx response carries the versioned
@@ -28,61 +27,21 @@ func parseEnvelope(t *testing.T, resp *http.Response) *api.Error {
 	return e
 }
 
-// TestShardExecHTTP drives the worker endpoint: a lease evaluates to
-// its points, and a re-dispatched duplicate of the same lease is
-// answered from the response cache instead of recomputing.
-func TestShardExecHTTP(t *testing.T) {
+// TestSweepErrorEnvelopes checks the sweep route's envelope
+// responses: a malformed request is 400 bad_request, and a session
+// journal written under other result-shaping knobs is 409
+// config_mismatch.
+func TestSweepErrorEnvelopes(t *testing.T) {
 	_, ts := newTestServer(t, &fakeEngine{}, Options{})
-	url := ts.URL + "/v1/shards/exec"
-	lease := `{"version":"v1","kind":"alu-depth","indices":[1,2,3]}`
-
-	resp := post(t, url, lease)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, slurp(t, resp))
-	}
-	if c := resp.Header.Get("X-Biodeg-Cache"); c != "miss" {
-		t.Errorf("first lease cache = %q, want miss", c)
-	}
-	var res api.ShardResult
-	if err := json.Unmarshal([]byte(slurp(t, resp)), &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Version != api.Version || len(res.Points) != 3 {
-		t.Fatalf("result = %+v", res)
-	}
-	for i, p := range res.Points {
-		if p.Index != i+1 || len(p.Value) == 0 {
-			t.Errorf("point %d = %+v", i, p)
-		}
-	}
-
-	// The coordinator re-dispatches lost leases; a duplicate must be a
-	// cache hit, not a second evaluation.
-	resp = post(t, url, lease)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("duplicate lease status %d", resp.StatusCode)
-	}
-	if c := resp.Header.Get("X-Biodeg-Cache"); c != "hit" {
-		t.Errorf("duplicate lease cache = %q, want hit", c)
-	}
-	slurp(t, resp)
-}
-
-// TestShardExecErrors checks the endpoint's envelope responses:
-// malformed and invalid leases are 400 bad_request, a lease bound to a
-// different configuration is 409 config_mismatch.
-func TestShardExecErrors(t *testing.T) {
-	_, ts := newTestServer(t, &fakeEngine{}, Options{})
-	url := ts.URL + "/v1/shards/exec"
+	url := ts.URL + "/v1/sweeps/alu-depth"
 
 	for _, tc := range []struct {
 		name, body string
 		status     int
 		code       string
 	}{
-		{"malformed JSON", `{"indices":`, http.StatusBadRequest, api.CodeBadRequest},
-		{"empty batch", `{"version":"v1","kind":"alu-depth","indices":[]}`, http.StatusBadRequest, api.CodeBadRequest},
-		{"config mismatch", `{"version":"v1","kind":"alu-depth","indices":[13]}`, http.StatusConflict, api.CodeConfigMismatch},
+		{"malformed JSON", `{"tech":`, http.StatusBadRequest, api.CodeBadRequest},
+		{"config mismatch", `{"tech":"` + mismatchTech + `"}`, http.StatusConflict, api.CodeConfigMismatch},
 	} {
 		resp := post(t, url, tc.body)
 		if resp.StatusCode != tc.status {
@@ -91,29 +50,6 @@ func TestShardExecErrors(t *testing.T) {
 		if e := parseEnvelope(t, resp); e.Code != tc.code {
 			t.Errorf("%s: code %q, want %q", tc.name, e.Code, tc.code)
 		}
-	}
-}
-
-// TestShardz: a daemon that is not coordinating still serves the
-// status document, reporting enabled=false.
-func TestShardz(t *testing.T) {
-	_, ts := newTestServer(t, &fakeEngine{}, Options{})
-	resp, err := http.Get(ts.URL + "/v1/shardz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var doc struct {
-		Version string       `json:"version"`
-		Shard   shard.Status `json:"shard"`
-	}
-	if err := json.Unmarshal([]byte(slurp(t, resp)), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Version != api.Version || doc.Shard.Enabled {
-		t.Errorf("shardz = %+v, want v1 with sharding disabled", doc)
 	}
 }
 
@@ -148,7 +84,7 @@ func TestFallbackEnvelope(t *testing.T) {
 		t.Errorf("GET /v1/simulate: code %q, want %q", e.Code, api.CodeMethodNotAllowed)
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/shards/exec", nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/width", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +93,10 @@ func TestFallbackEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE /v1/shards/exec: status %d, want 405", resp.StatusCode)
+		t.Fatalf("DELETE /v1/sweeps/width: status %d, want 405", resp.StatusCode)
 	}
 	if allow := resp.Header.Get("Allow"); allow != "POST" {
-		t.Errorf("DELETE /v1/shards/exec: Allow = %q, want POST", allow)
+		t.Errorf("DELETE /v1/sweeps/width: Allow = %q, want POST", allow)
 	}
 	slurp(t, resp)
 }
@@ -272,8 +208,10 @@ func TestEveryErrorIsEnveloped(t *testing.T) {
 		{http.MethodPost, "/v1/experiments/nope/run", "", http.StatusNotFound},
 		{http.MethodPost, "/v1/sweeps/no-such-kind", `{"tech":"organic"}`, http.StatusNotFound},
 		{http.MethodPost, "/v1/simulate", `{"bench":`, http.StatusBadRequest},
-		{http.MethodPost, "/v1/shards/exec", `{"indices":[13]}`, http.StatusConflict},
-		{http.MethodGet, "/v1/jobs", "", http.StatusNotFound}, // jobs disabled
+		{http.MethodPost, "/v1/sweeps/width", `{"tech":"` + mismatchTech + `"}`, http.StatusConflict},
+		{http.MethodPost, "/v1/shards/exec", `{"indices":[0]}`, http.StatusNotFound}, // retired route
+		{http.MethodGet, "/v1/shardz", "", http.StatusNotFound},                      // retired route
+		{http.MethodGet, "/v1/jobs", "", http.StatusNotFound},                        // jobs disabled
 		{http.MethodGet, "/v1/jobs/deadbeef", "", http.StatusNotFound},
 		{http.MethodPut, "/v1/simulate", "{}", http.StatusMethodNotAllowed},
 		{http.MethodGet, "/totally/unknown", "", http.StatusNotFound},

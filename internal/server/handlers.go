@@ -10,7 +10,6 @@ import (
 
 	"repro/biodeg/api"
 	"repro/internal/runner/metrics"
-	"repro/internal/shard"
 )
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
@@ -72,40 +71,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.serveComputed(w, r, "simulate\x00"+string(canonical(req)), func(ctx context.Context) (any, error) {
 		return s.eng.Simulate(ctx, req)
 	})
-}
-
-// handleShardExec evaluates one sweep point-lease (POST /v1/shards/exec)
-// — the worker half of the shard layer. The lease flows through the
-// full serving path (cache, admission, coalescing, breaker): identical
-// leases coalesce, and re-dispatched duplicates of an already-served
-// lease hit the rendered-response LRU instead of recomputing.
-func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req api.ShardRequest
-	if !decode(w, body, &req) {
-		return
-	}
-	s.serveComputed(w, r, "shard\x00"+string(canonical(req)), func(ctx context.Context) (any, error) {
-		return s.eng.ShardExec(ctx, &req)
-	})
-}
-
-// shardStatusReporter is the optional engine facet behind GET /v1/shardz
-// (SessionEngine implements it; transport-test fakes need not).
-type shardStatusReporter interface{ ShardStatus() shard.Status }
-
-// handleShardz reports the shard coordinator's configuration, lease
-// counters, and per-peer breaker state; enabled=false when this daemon
-// is not coordinating.
-func (s *Server) handleShardz(w http.ResponseWriter, r *http.Request) {
-	var st shard.Status
-	if rep, ok := s.eng.(shardStatusReporter); ok {
-		st = rep.ShardStatus()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"version": "v1", "shard": st})
 }
 
 // handleJobCreate accepts a durable job (POST /v1/jobs): 202 for a

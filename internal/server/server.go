@@ -155,8 +155,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/experiments/{id}/run", s.handleRunExperiment)
 	s.mux.HandleFunc("POST /v1/sweeps/{kind}", s.handleSweep)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/shards/exec", s.handleShardExec)
-	s.mux.HandleFunc("GET /v1/shardz", s.handleShardz)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobCreate)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)

@@ -53,8 +53,15 @@ func (f *fakeEngine) RunExperiment(ctx context.Context, id string) (*api.Experim
 	return &api.ExperimentResult{Version: api.Version, ID: id, Title: "inverter DC transfer"}, nil
 }
 
+// mismatchTech is the fakeEngine sweep technology that simulates a
+// daemon whose checkpoint journal was written under other knobs.
+const mismatchTech = "journal-mismatch"
+
 func (f *fakeEngine) Sweep(ctx context.Context, kind string, req api.SweepRequest) (*api.SweepResult, error) {
 	f.sweeps.Add(1)
+	if req.Tech == mismatchTech {
+		return nil, fmt.Errorf("%w: journal written under other knobs", errConfigMismatch)
+	}
 	if err := f.wait(ctx); err != nil {
 		return nil, err
 	}
@@ -69,28 +76,6 @@ func (f *fakeEngine) Simulate(ctx context.Context, req api.SimulateRequest) (*ap
 		return nil, err
 	}
 	return &api.SimulateResult{Version: api.Version, Bench: req.Bench, Stats: api.Stats{IPC: 0.5}}, nil
-}
-
-// ShardExec answers each leased index with a synthetic value; index 13
-// simulates a worker running under different result-shaping knobs.
-func (f *fakeEngine) ShardExec(ctx context.Context, req *api.ShardRequest) (*api.ShardResult, error) {
-	if err := f.wait(ctx); err != nil {
-		return nil, err
-	}
-	if len(req.Indices) == 0 {
-		return nil, fmt.Errorf("%w: empty index batch", ErrBadRequest)
-	}
-	res := &api.ShardResult{Version: api.Version, Kind: req.Kind, Worker: "fake"}
-	for _, i := range req.Indices {
-		if i == 13 {
-			return nil, fmt.Errorf("%w: lease bound elsewhere", errConfigMismatch)
-		}
-		res.Points = append(res.Points, api.ShardPoint{
-			Index: i, Key: fmt.Sprintf("pt-%d", i),
-			Value: json.RawMessage(fmt.Sprintf(`{"stages":%d}`, i+1)),
-		})
-	}
-	return res, nil
 }
 
 func newTestServer(t *testing.T, eng Engine, opts Options) (*Server, *httptest.Server) {
